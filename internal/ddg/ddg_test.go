@@ -1,7 +1,10 @@
 package ddg
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -262,5 +265,38 @@ func TestJSONBadKind(t *testing.T) {
 	err := g.UnmarshalJSON([]byte(`{"loop":1,"sites":{},"edges":[{"src":1,"dst":2,"kind":"bogus"}]}`))
 	if err == nil {
 		t.Fatal("bad kind accepted")
+	}
+}
+
+func TestJSONDeterministic(t *testing.T) {
+	// Map iteration order is randomized per range statement, so with
+	// enough exposed sites an unsorted encoding differs between two
+	// calls almost surely.
+	g := NewGraph(1)
+	for s := 1; s <= 64; s++ {
+		g.AddSite(s)
+		g.UpwardExposed[s] = true
+		g.DownwardExposed[65-s] = true
+		g.AddEdge(s, 65-s, Flow, s%2 == 0)
+	}
+	first, err := g.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		again, err := g.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, again) {
+			t.Fatalf("marshal %d differs:\n%s\n%s", i+2, first, again)
+		}
+	}
+	var jg jsonGraph
+	if err := json.Unmarshal(first, &jg); err != nil {
+		t.Fatal(err)
+	}
+	if !sort.IntsAreSorted(jg.UpwardExposed) || !sort.IntsAreSorted(jg.DownwardExposed) {
+		t.Fatalf("exposed lists not sorted: %v %v", jg.UpwardExposed, jg.DownwardExposed)
 	}
 }
