@@ -286,6 +286,39 @@ func (s slot) String() string {
 	}
 }
 
+// pos returns the slot's declaration position (zero for field slots).
+func (s slot) pos() token.Pos {
+	switch {
+	case s.sym != nil && s.sym.Decl != nil:
+		return s.sym.Decl.P
+	case s.fn != nil:
+		return s.fn.P
+	}
+	return token.Pos{}
+}
+
+// promotedSlots returns the promoted slots ordered by declaration
+// position, then name. Passes that create declarations while walking
+// the slots use this order, so the expanded source does not depend on
+// map iteration order.
+func (p *pass) promotedSlots() []slot {
+	out := make([]slot, 0, len(p.promote))
+	for s := range p.promote {
+		out = append(out, s)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i].pos(), out[j].pos()
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		if a.Col != b.Col {
+			return a.Col < b.Col
+		}
+		return out[i].String() < out[j].String()
+	})
+	return out
+}
+
 func (p *pass) run() error {
 	p.collectBodyDecls()
 	if err := p.computeExpansionSet(); err != nil {

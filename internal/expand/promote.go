@@ -106,10 +106,7 @@ func (p *pass) computePromotion() error {
 		if err := p.addUnoptimizedPromotions(); err != nil {
 			return err
 		}
-		work = work[:0]
-		for s := range p.promote {
-			work = append(work, s)
-		}
+		work = p.promotedSlots()
 	}
 
 	// Backward closure over pointer assignments.

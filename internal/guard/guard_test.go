@@ -289,3 +289,36 @@ func TestViolationTotalAndDedup(t *testing.T) {
 		t.Fatalf("distinct %d, want 1 (same site pair)", len(rep.Violations))
 	}
 }
+
+// TestViolationCountPlacementFree runs the adversarial stencil's
+// pattern — iteration i writes scratch slot i%8 and reads slot
+// (i+1)%8 — under two iteration-to-thread placements. Which reads see
+// a wrong copy differs between them, but the count of the violating
+// region must not: it is the number of reads whose sequential source
+// lies outside their iteration (9 carried from iteration i-7, 7 from
+// before the region).
+func TestViolationCountPlacementFree(t *testing.T) {
+	const n, slots = 16, 8
+	region := func(tid func(i int64) int) *Report {
+		m := New(Config{Threads: 2})
+		m.Hooks().Expand(8000, slots*8, 0)
+		var evs []interp.Access
+		for i := int64(0); i < n; i++ {
+			copyBase := 8000 + int64(tid(i))*slots*8
+			evs = append(evs,
+				access(10, copyBase+(i%slots)*8, 8, tid(i), i, true),
+				access(11, copyBase+((i+1)%slots)*8, 8, tid(i), i, false))
+		}
+		return runRegion(t, m, 2, evs)
+	}
+	static := region(func(i int64) int { return int(i / (n / 2)) })
+	stolen := region(func(i int64) int { return int(i / 4 % 2) })
+	if static == nil || stolen == nil {
+		t.Fatalf("violation missed: static %v, stolen %v", static, stolen)
+	}
+	for _, rep := range []*Report{static, stolen} {
+		if rep.Total != 16 || rep.ByRule[RuleCarriedFlow] != 9 || rep.ByRule[RuleStaleCopy] != 7 {
+			t.Fatalf("total %d by rule %v, want 16 = 9 carried-flow + 7 stale-copy-read", rep.Total, rep.ByRule)
+		}
+	}
+}

@@ -59,6 +59,15 @@ type Report struct {
 	// Total counts every flagged access; Violations keeps the first
 	// occurrence of each distinct (rule, site, other-site) triple, up
 	// to the configured cap.
+	//
+	// Under full guarding the flow-shaped rules count by sequential
+	// semantics: every read of expanded storage whose sequential data
+	// source is another iteration's write (carried-flow) or pre-region
+	// data (stale-copy-read), including the reads the schedule happened
+	// to serve from the right copy. Which thread ran which iteration —
+	// nondeterministic under work stealing — decides only whether a
+	// read saw a wrong value, so it decides detection and the
+	// Violations list, but not the count of a violating region.
 	Total      int         `json:"total_violations"`
 	Violations []Violation `json:"violations"`
 	// ByRule counts every flagged access per rule (not capped, unlike

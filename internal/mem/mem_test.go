@@ -269,3 +269,43 @@ func TestAllocatorProperties(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestFreeGen(t *testing.T) {
+	m := New(1 << 16)
+	g := m.FreeGen()
+	a, err := m.Alloc(64, 1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.FreeGen() != g {
+		t.Fatal("Alloc advanced the free generation")
+	}
+	if err := m.Free(a); err != nil {
+		t.Fatal(err)
+	}
+	if m.FreeGen() == g {
+		t.Fatal("Free did not advance the free generation")
+	}
+	g = m.FreeGen()
+	b, _ := m.Alloc(64, 1, "")
+	if _, err := m.Realloc(b, 256, 1); err != nil {
+		t.Fatal(err)
+	}
+	if m.FreeGen() == g {
+		t.Fatal("Realloc did not advance the free generation")
+	}
+	g = m.FreeGen()
+	s := m.BeginSnapshot()
+	if _, err := m.AllocOn(1, 32, 2, ""); err != nil {
+		t.Fatal(err)
+	}
+	m.Rollback(s)
+	if m.FreeGen() == g {
+		t.Fatal("Rollback did not advance the free generation")
+	}
+	g = m.FreeGen()
+	m.Reset()
+	if m.FreeGen() == g {
+		t.Fatal("Reset did not advance the free generation")
+	}
+}

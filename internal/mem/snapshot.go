@@ -199,6 +199,7 @@ func (m *Memory) Rollback(s *Snapshot) (pages int, bytes int64) {
 	m.highWaterData.Store(s.highWaterData)
 	m.allocs.Store(s.allocs)
 	m.failAt.Store(0)
+	m.freeGen.Add(1)
 	m.slabs.Store(s.slabs)
 	for i := range m.shards {
 		sh := &m.shards[i]

@@ -300,3 +300,37 @@ int main() {
 		t.Fatalf("expected error for unknown loop")
 	}
 }
+
+// TestTouchedOriginAfterFree reuses one address for blocks of two
+// allocation sites: the per-site origin cache must notice the free in
+// between and attribute the second block to its own site.
+func TestTouchedOriginAfterFree(t *testing.T) {
+	res := profileFirst(t, `
+int main() {
+    int n = 4;
+    int *out = (int*)malloc(n * 4);
+    int i;
+    parallel for (i = 0; i < n; i++) {
+        int *p;
+        if (i % 2 == 0) { p = (int*)malloc(16); } else { p = (int*)malloc(16); }
+        p[0] = i;
+        out[i] = p[0];
+        free(p);
+    }
+    print_int(out[3]);
+    free(out);
+    return 0;
+}`)
+	for _, origins := range res.Touched {
+		heaps := 0
+		for o := range origins {
+			if o.Kind == OriginHeap {
+				heaps++
+			}
+		}
+		if heaps == 2 {
+			return
+		}
+	}
+	t.Fatalf("no site touched both scratch allocation sites: %v", res.Touched)
+}

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"gdsx/internal/ddg"
 	"gdsx/internal/expand"
+	"gdsx/internal/workloads"
 )
 
 // checkTransformed verifies that a program produces identical output
@@ -384,6 +386,38 @@ func TestDoacrossOrderingStress(t *testing.T) {
 		}
 		if res.Output != native.Output {
 			t.Fatalf("run %d: ordered output diverged: %q vs %q", i, res.Output, native.Output)
+		}
+	}
+}
+
+// TestTransformDeterministic transforms every workload 16 times and
+// requires byte-identical sources. The first call profiles; the others
+// reuse its graphs, since what is under test is that expansion does
+// not depend on map iteration order (the golden profile test in
+// internal/profile pins the profiles themselves).
+func TestTransformDeterministic(t *testing.T) {
+	for _, w := range workloads.All() {
+		prog, err := Compile(w.Name+".c", w.Source(workloads.Test))
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		first, err := Transform(prog, TransformOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		graphs := map[int]*ddg.Graph{}
+		for id, pr := range first.Profiles {
+			graphs[id] = pr.Graph
+		}
+		for i := 1; i < 16; i++ {
+			tr, err := Transform(prog, TransformOptions{Graphs: graphs})
+			if err != nil {
+				t.Fatalf("%s call %d: %v", w.Name, i+1, err)
+			}
+			if tr.Source != first.Source {
+				t.Fatalf("%s: call %d produced a different source\n--- first ---\n%s\n--- call %d ---\n%s",
+					w.Name, i+1, first.Source, i+1, tr.Source)
+			}
 		}
 	}
 }
