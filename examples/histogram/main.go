@@ -83,10 +83,13 @@ func main() {
 	}
 	fmt.Print("native:    ", native.Output)
 
-	tr, out, err := gdsx.TransformAndRun(prog, gdsx.TransformOptions{},
-		gdsx.RunOptions{Threads: 8})
+	tr, err := gdsx.Transform(prog, gdsx.TransformOptions{})
 	if err != nil {
 		log.Fatal(err)
+	}
+	out, err := gdsx.RunSource(prog.File+" (expanded)", tr.Source, gdsx.RunOptions{Threads: 8})
+	if err != nil {
+		log.Fatalf("gdsx: running transformed program: %v\n--- transformed source ---\n%s", err, tr.Source)
 	}
 	fmt.Print("8 threads: ", out.Output)
 	if out.Output != native.Output {

@@ -102,15 +102,13 @@ type RunOptions struct {
 	// Hooks intercept execution (profiling, runtime privatization).
 	Hooks *interp.Hooks
 	// Engine selects the execution engine. The zero value is
-	// EngineCompiled, the closure-compiling engine; EngineTree selects
-	// the tree-walking reference implementation. Both engines produce
-	// byte-identical output and identical instruction counters.
+	// EngineCompiled, the closure-compiling engine with its full pass
+	// pipeline (register promotion, superinstruction fusion,
+	// profile-guided specialization); EngineCompiledNoOpt disables the
+	// pipeline, and EngineTree selects the tree-walking reference
+	// implementation. All three produce byte-identical output and
+	// identical instruction counters.
 	Engine Engine
-	// Opt selects the compiled engine's optimization level. The zero
-	// value enables the full pass pipeline (register promotion,
-	// superinstruction fusion, profile-guided specialization); OptNone
-	// disables it, matching EngineCompiledNoOpt.
-	Opt OptLevel
 	// OptProfile feeds a prior run's hot-site profile to the optimizer,
 	// which specializes the hottest sites' memory accessors to their
 	// observed access width. Nil disables specialization.
@@ -220,7 +218,7 @@ const (
 	// EngineTree walks the AST on every execution (reference engine).
 	EngineTree = interp.EngineTree
 	// EngineCompiledNoOpt is the compiled engine with the optimization
-	// pipeline disabled (shorthand for EngineCompiled + OptNone).
+	// pipeline disabled.
 	EngineCompiledNoOpt = interp.EngineCompiledNoOpt
 )
 
@@ -242,17 +240,6 @@ const (
 // SchedFromString parses a scheduler name ("stealing", "static",
 // "dynamic", or "" for the default).
 func SchedFromString(s string) (SchedPolicy, bool) { return interp.SchedFromString(s) }
-
-// OptLevel re-exports the compiled engine's optimization selector.
-type OptLevel = interp.OptLevel
-
-// Optimization levels for the compiled engine.
-const (
-	// OptDefault runs the full optimization pipeline (the zero value).
-	OptDefault = interp.OptDefault
-	// OptNone compiles every construct with the generic closures.
-	OptNone = interp.OptNone
-)
 
 // SiteProfile re-exports the optimizer's hot-site profile input.
 type SiteProfile = interp.SiteProfile
@@ -285,7 +272,6 @@ func (o RunOptions) interpOptions() interp.Options {
 		DispatchChunk:   o.DispatchChunk,
 		Hooks:           o.Hooks,
 		Engine:          o.Engine,
-		Opt:             o.Opt,
 		OptProfile:      o.OptProfile,
 		Recover:         o.Recover,
 		RegionTimeout:   o.RegionTimeout,

@@ -24,8 +24,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -96,11 +94,8 @@ type AdaptCommRow struct {
 // AdaptReport is the full adaptive-ladder measurement, serialized to
 // BENCH_adapt.json by gdsxbench -adapt.
 type AdaptReport struct {
-	GoVersion string             `json:"go_version"`
-	Scale     string             `json:"scale"`
-	Threads   int                `json:"threads"`
-	Reps      int                `json:"reps"`
-	Sampling  []AdaptSampleRow   `json:"sampling"`
+	Header
+	Sampling []AdaptSampleRow `json:"sampling"`
 	// SampleGeomean is the geomean check cut over the sampling rows —
 	// the scalar the CI smoke gate tracks (higher is better).
 	SampleGeomean float64            `json:"sample_geomean"`
@@ -110,40 +105,13 @@ type AdaptReport struct {
 
 const adaptReps = 3
 
-// GeomeanOver recomputes the geomean check cut over the named subset
-// of the report's sampling rows, so a quick measurement can be gated
-// against the matching rows of a checked-in report. Returns false if
-// any name has no row.
-func (r *AdaptReport) GeomeanOver(names []string) (float64, bool) {
-	logSum := 0.0
-	for _, name := range names {
-		found := false
-		for _, row := range r.Sampling {
-			if row.Workload == name {
-				logSum += math.Log(row.CheckCut)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return 0, false
-		}
-	}
-	return math.Exp(logSum / float64(len(names))), true
-}
-
 // Adapt runs the three adaptive-ladder measurements. quick skips the
 // wall-clock-dependent acceptance checks (CI hosts are noisy; the
 // smoke gate compares the deterministic check cut against the
 // checked-in report instead) but still runs every section.
 func (h *Harness) Adapt(quick bool) (*AdaptReport, error) {
 	threads := h.cfg.Threads[len(h.cfg.Threads)-1]
-	rep := &AdaptReport{
-		GoVersion: runtime.Version(),
-		Scale:     scaleName(h.cfg.Scale),
-		Threads:   threads,
-		Reps:      adaptReps,
-	}
+	rep := &AdaptReport{Header: h.header(threads, adaptReps)}
 
 	// Section 1: sampled-tier check cut on the clean escape profile
 	// (ten region executions — enough to earn successive sampled
@@ -162,11 +130,7 @@ func (h *Harness) Adapt(quick bool) (*AdaptReport, error) {
 		}
 		rep.Sampling = append(rep.Sampling, *row)
 	}
-	logSum := 0.0
-	for _, row := range rep.Sampling {
-		logSum += math.Log(row.CheckCut)
-	}
-	rep.SampleGeomean = math.Exp(logSum / float64(len(rep.Sampling)))
+	rep.SampleGeomean = geomean(rep.Sampling, func(r AdaptSampleRow) float64 { return r.CheckCut })
 	if rep.SampleGeomean < 2 {
 		return nil, fmt.Errorf("sampling: geomean check cut %.2fx is below the 2x floor"+
 			" the ladder must clear on clean regions", rep.SampleGeomean)
@@ -208,48 +172,38 @@ func (h *Harness) adaptSampleRow(label string, spec gdsx.TierSpec, threads int) 
 		return nil, fmt.Errorf("%s: transform: %w", label, err)
 	}
 
+	// Each run gets its own registry: the monitor publishes its logged-
+	// event count there, and the cut is the ratio between two isolated
+	// counts (the harness-wide observer, if any, cannot be shared
+	// without conflating the two runs).
 	row := &AdaptSampleRow{Workload: label}
-	run := func(sample *gdsx.TierSpec) (int64, int64, error) {
-		// Each run gets its own registry: the monitor publishes its
-		// logged-event count there, and the cut is the ratio between
-		// two isolated counts (the harness-wide observer, if any,
-		// cannot be shared without conflating the two runs).
-		best := time.Duration(math.MaxInt64)
-		var events int64
-		for i := 0; i <= adaptReps; i++ {
+	run := func(sample *gdsx.TierSpec, events *int64) func() error {
+		return func() error {
 			reg := gdsx.NewRegistry()
 			opts := h.run(gdsx.RunOptions{Threads: threads, Sched: gdsx.SchedStatic})
 			opts.Obs = &gdsx.Observer{Metrics: reg}
 			opts.Sample = sample
 			opts.Recover = &gdsx.RecoverySpec{}
-			start := time.Now()
 			res, err := gdsx.GuardedRun(prog, tr, opts)
-			d := time.Since(start)
 			if err != nil {
-				return 0, 0, fmt.Errorf("%s: guarded run: %w", label, err)
+				return fmt.Errorf("%s: guarded run: %w", label, err)
 			}
 			if res.FellBack || len(res.Violations) > 0 {
-				return 0, 0, fmt.Errorf("%s: guard fired on the clean profile", label)
+				return fmt.Errorf("%s: guard fired on the clean profile", label)
 			}
 			if res.Result.Output != want.Output {
-				return 0, 0, fmt.Errorf("%s: guarded output diverges from native", label)
+				return fmt.Errorf("%s: guarded output diverges from native", label)
 			}
-			if i == 0 {
-				continue // warmup: populate the Go heap, drop the timing
-			}
-			if d < best {
-				best = d
-			}
-			events = reg.Snapshot().Counters["guard.events_logged"]
+			*events = reg.Snapshot().Counters["guard.events_logged"]
+			return nil
 		}
-		return events, best.Nanoseconds(), nil
 	}
-	if row.FullEvents, row.FullNS, err = run(nil); err != nil {
+	s, err := measure(1, adaptReps, run(nil, &row.FullEvents), run(&spec, &row.SampledEvents))
+	if err != nil {
 		return nil, err
 	}
-	if row.SampledEvents, row.SampledNS, err = run(&spec); err != nil {
-		return nil, err
-	}
+	row.FullNS = fastest(s[0]).Nanoseconds()
+	row.SampledNS = fastest(s[1]).Nanoseconds()
 	if row.SampledEvents <= 0 {
 		return nil, fmt.Errorf("%s: sampled run logged no events", label)
 	}
@@ -301,10 +255,11 @@ func (h *Harness) adaptReexpandRow(quick bool) (*AdaptReexpandRow, error) {
 	row.FinalLayout = ares.Layout
 	row.FinalThreads = ares.Threads
 
-	measure := func(t *gdsx.TransformResult, threads int, wantClean bool) (int64, int, error) {
-		best := time.Duration(math.MaxInt64)
-		recovered := 0
-		for i := 0; i <= adaptReps; i++ {
+	// run measures one side: the violating baseline passes recovered to
+	// receive its rollback count; the adapted side passes nil and must
+	// run violation-free.
+	run := func(side string, t *gdsx.TransformResult, threads int, recovered *int) func() error {
+		return func() error {
 			opts := h.run(gdsx.RunOptions{Threads: threads, Sched: gdsx.SchedStatic})
 			opts.Recover = &gdsx.RecoverySpec{}
 			// Both sides run the full ladder, sampling included. The tier
@@ -314,37 +269,30 @@ func (h *Harness) adaptReexpandRow(quick bool) (*AdaptReexpandRow, error) {
 			// specifically to be clean), which is the configuration
 			// production keeps paying for.
 			opts.Sample = &gdsx.TierSpec{PromoteAfter: 1, SampleK: 8}
-			start := time.Now()
 			res, err := gdsx.GuardedRun(prog, t, opts)
-			d := time.Since(start)
-			if err != nil {
-				return 0, 0, err
+			switch {
+			case err != nil:
+			case res.Result.Output != want.Output:
+				err = fmt.Errorf("output diverges from native")
+			case recovered == nil && len(res.Violations) > 0:
+				err = fmt.Errorf("steady state still violates (%d regions)", len(res.Violations))
+			default:
+				if recovered != nil {
+					*recovered = res.Recovered
+				}
+				return nil
 			}
-			if res.Result.Output != want.Output {
-				return 0, 0, fmt.Errorf("output diverges from native")
-			}
-			if wantClean && len(res.Violations) > 0 {
-				return 0, 0, fmt.Errorf("steady state still violates (%d regions)",
-					len(res.Violations))
-			}
-			if i == 0 {
-				continue
-			}
-			if d < best {
-				best = d
-			}
-			recovered = res.Recovered
+			return fmt.Errorf("%s (%s): %w", w.Name, side, err)
 		}
-		return best.Nanoseconds(), recovered, nil
 	}
-	if row.BaselineNS, row.BaselineRecovered, err = measure(tr, 4, false); err != nil {
-		return nil, fmt.Errorf("%s (baseline): %w", w.Name, err)
+	s, err := measure(1, adaptReps,
+		run("baseline", tr, 4, &row.BaselineRecovered),
+		run("adapted", ares.Transform, ares.Threads, nil))
+	if err != nil {
+		return nil, err
 	}
-	var adaptedRecovered int
-	if row.AdaptedNS, adaptedRecovered, err = measure(ares.Transform, ares.Threads, true); err != nil {
-		return nil, fmt.Errorf("%s (adapted): %w", w.Name, err)
-	}
-	_ = adaptedRecovered // clean by the wantClean check above
+	row.BaselineNS = fastest(s[0]).Nanoseconds()
+	row.AdaptedNS = fastest(s[1]).Nanoseconds()
 	if row.BaselineRecovered == 0 {
 		return nil, fmt.Errorf("%s: baseline never rolled back — the window did not violate", w.Name)
 	}

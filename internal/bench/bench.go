@@ -10,10 +10,7 @@ import (
 	"fmt"
 
 	"gdsx"
-	"gdsx/internal/ddg"
 	"gdsx/internal/expand"
-	"gdsx/internal/interp"
-	"gdsx/internal/rtpriv"
 	"gdsx/internal/schedule"
 	"gdsx/internal/workloads"
 )
@@ -111,12 +108,9 @@ func (h *Harness) Data(w *workloads.Workload) (*wlData, error) {
 	d := &wlData{
 		w:      w,
 		src:    w.Source(h.cfg.Scale),
-		psrc:   w.Source(workloads.ProfileScale),
+		psrc:   h.profileSource(w),
 		expMem: map[int]int64{},
 		rtMem:  map[int]int64{},
-	}
-	if h.cfg.Scale == workloads.ProfileScale || h.cfg.Scale == workloads.Test {
-		d.psrc = d.src // same scale: profile directly
 	}
 
 	prog, err := gdsx.Compile(w.Name+".c", d.src)
@@ -229,7 +223,3 @@ func (h *Harness) totalTime(res gdsx.Result, n int) (int64, error) {
 	total, _, _, err := schedule.ProgramTime(res, n, h.cfg.Model)
 	return total, err
 }
-
-var _ = interp.CatWork
-var _ = rtpriv.DefaultModel
-var _ = ddg.Flow

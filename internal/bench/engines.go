@@ -11,8 +11,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"strings"
 	"time"
 
@@ -31,76 +29,54 @@ type EngineRow struct {
 // EngineReport is the full engine comparison, serialized to
 // BENCH_engine.json by gdsxbench -bench-engines.
 type EngineReport struct {
-	GoVersion string      `json:"go_version"`
-	Scale     string      `json:"scale"`
-	Threads   int         `json:"threads"`
-	Reps      int         `json:"reps"`
-	Rows      []EngineRow `json:"rows"`
-	Geomean   float64     `json:"geomean_speedup"`
+	Header
+	Rows    []EngineRow `json:"rows"`
+	Geomean float64     `json:"geomean_speedup"`
 }
 
 // engineReps is how many times each (workload, engine) pair runs; the
-// minimum wall-clock of the repetitions is reported, which discards
-// one-off scheduler and GC noise.
+// minimum wall-clock of the repetitions is reported.
 const engineReps = 3
-
-// timeEngine runs the program once under eng and returns the
-// wall-clock duration. Machine construction is included: closure
-// compilation is part of what the compiled engine pays per run.
-func timeEngine(prog *gdsx.Program, eng gdsx.Engine, memSize int64) (time.Duration, error) {
-	start := time.Now()
-	_, err := prog.Run(gdsx.RunOptions{Threads: 1, MemSize: memSize, Engine: eng})
-	return time.Since(start), err
-}
 
 // EngineComparison measures every workload's native program under both
 // engines at the harness scale, single-threaded so the measurement is
-// pure dispatch cost rather than parallel-runtime behavior.
+// pure dispatch cost rather than parallel-runtime behavior. Machine
+// construction is timed: closure compilation is part of what the
+// compiled engine pays per run.
 func (h *Harness) EngineComparison() (*EngineReport, error) {
-	rep := &EngineReport{
-		GoVersion: runtime.Version(),
-		Scale:     scaleName(h.cfg.Scale),
-		Threads:   1,
-		Reps:      engineReps,
-	}
-	logSum := 0.0
+	rep := &EngineReport{Header: h.header(1, engineReps)}
 	for _, w := range workloads.All() {
 		prog, err := gdsx.Compile(w.Name+".c", w.Source(h.cfg.Scale))
 		if err != nil {
 			return nil, fmt.Errorf("%s: compile: %w", w.Name, err)
 		}
-		row := EngineRow{Workload: w.Name}
-		// One untimed run dirties the Go heap (the simulated memory's
-		// first allocation gets pre-zeroed pages from the OS; reruns pay
-		// a memclr), then the engines alternate within each repetition —
-		// otherwise whichever engine runs first is systematically
-		// cheaper and the comparison is biased.
-		if _, err := timeEngine(prog, gdsx.EngineCompiled, h.cfg.MemSize); err != nil {
-			return nil, fmt.Errorf("%s (warmup): %w", w.Name, err)
+		opts := gdsx.RunOptions{Threads: 1, MemSize: h.cfg.MemSize, Engine: gdsx.EngineTree}
+		tree := runVariant(w.Name, prog, opts)
+		opts.Engine = gdsx.EngineCompiled
+		s, err := measure(1, engineReps, tree, runVariant(w.Name, prog, opts))
+		if err != nil {
+			return nil, err
 		}
-		bestTree := time.Duration(math.MaxInt64)
-		bestComp := time.Duration(math.MaxInt64)
-		for i := 0; i < engineReps; i++ {
-			for _, eng := range []gdsx.Engine{gdsx.EngineTree, gdsx.EngineCompiled} {
-				d, err := timeEngine(prog, eng, h.cfg.MemSize)
-				if err != nil {
-					return nil, fmt.Errorf("%s (%v): %w", w.Name, eng, err)
-				}
-				if eng == gdsx.EngineTree && d < bestTree {
-					bestTree = d
-				} else if eng == gdsx.EngineCompiled && d < bestComp {
-					bestComp = d
-				}
-			}
+		row := EngineRow{
+			Workload:   w.Name,
+			TreeNS:     fastest(s[0]).Nanoseconds(),
+			CompiledNS: fastest(s[1]).Nanoseconds(),
 		}
-		row.TreeNS = bestTree.Nanoseconds()
-		row.CompiledNS = bestComp.Nanoseconds()
 		row.Speedup = float64(row.TreeNS) / float64(row.CompiledNS)
-		logSum += math.Log(row.Speedup)
 		rep.Rows = append(rep.Rows, row)
 	}
-	rep.Geomean = math.Exp(logSum / float64(len(rep.Rows)))
+	rep.Geomean = geomean(rep.Rows, func(r EngineRow) float64 { return r.Speedup })
 	return rep, nil
+}
+
+// runVariant is a measured variant that runs prog once under opts.
+func runVariant(name string, prog *gdsx.Program, opts gdsx.RunOptions) func() error {
+	return func() error {
+		if _, err := prog.Run(opts); err != nil {
+			return fmt.Errorf("%s (%v): %w", name, opts.Engine, err)
+		}
+		return nil
+	}
 }
 
 // scaleName names a workload scale for reports.

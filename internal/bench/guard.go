@@ -10,8 +10,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"strings"
 	"time"
 
@@ -34,12 +32,9 @@ type GuardRow struct {
 // GuardReport is the full guard-overhead measurement, serialized to
 // BENCH_guard.json by gdsxbench -guard.
 type GuardReport struct {
-	GoVersion string     `json:"go_version"`
-	Scale     string     `json:"scale"`
-	Threads   int        `json:"threads"`
-	Reps      int        `json:"reps"`
-	Rows      []GuardRow `json:"rows"`
-	Geomean   float64    `json:"geomean_overhead"`
+	Header
+	Rows    []GuardRow `json:"rows"`
+	Geomean float64    `json:"geomean_overhead"`
 }
 
 const guardReps = 5
@@ -54,28 +49,6 @@ const guardReps = 5
 // scheduling luck, which no best-of repetition count tames.
 var GuardQuickWorkloads = []string{"md5", "mpeg2-encoder", "256.bzip2"}
 
-// GeomeanOver recomputes the report's geomean overhead over the named
-// subset of its rows, so a quick measurement can be compared against
-// the matching rows of a full checked-in report. Returns false if any
-// name has no row.
-func (r *GuardReport) GeomeanOver(names []string) (float64, bool) {
-	logSum := 0.0
-	for _, name := range names {
-		found := false
-		for _, row := range r.Rows {
-			if row.Workload == name {
-				logSum += math.Log(row.Overhead)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return 0, false
-		}
-	}
-	return math.Exp(logSum / float64(len(names))), true
-}
-
 // GuardOverhead measures every workload's guard-transformed program
 // with and without the monitor attached. Runs use the harness scale
 // and the largest configured thread count; every guarded run must
@@ -84,88 +57,79 @@ func (r *GuardReport) GeomeanOver(names []string) (float64, bool) {
 // sweep to GuardQuickWorkloads.
 func (h *Harness) GuardOverhead(quick bool) (*GuardReport, error) {
 	threads := h.cfg.Threads[len(h.cfg.Threads)-1]
-	rep := &GuardReport{
-		GoVersion: runtime.Version(),
-		Scale:     scaleName(h.cfg.Scale),
-		Threads:   threads,
-		Reps:      guardReps,
-	}
-	ws := workloads.All()
-	if quick {
-		ws = ws[:0:0]
-		for _, name := range GuardQuickWorkloads {
-			ws = append(ws, workloads.ByName(name))
-		}
-	}
-	logSum := 0.0
-	for _, w := range ws {
-		src := w.Source(h.cfg.Scale)
-		psrc := w.Source(workloads.ProfileScale)
-		if h.cfg.Scale == workloads.ProfileScale || h.cfg.Scale == workloads.Test {
-			psrc = src
-		}
-		prog, err := gdsx.Compile(w.Name+".c", src)
+	rep := &GuardReport{Header: h.header(threads, guardReps)}
+	for _, w := range workloadSet(quick, GuardQuickWorkloads) {
+		prog, tr, err := h.guarded(w.Name, w.Source(h.cfg.Scale), h.profileSource(w))
 		if err != nil {
-			return nil, fmt.Errorf("%s: compile: %w", w.Name, err)
-		}
-		tr, err := gdsx.Transform(prog, gdsx.TransformOptions{
-			Guard:         true,
-			ProfileSource: psrc,
-			ProfileOpts:   h.run(gdsx.RunOptions{}),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: transform: %w", w.Name, err)
+			return nil, err
 		}
 		opts := h.run(gdsx.RunOptions{Threads: threads})
 
-		row := GuardRow{Workload: w.Name}
-		// Warm the Go heap once (see EngineComparison), then alternate
-		// unguarded and guarded runs within each repetition. GuardedRun
-		// recompiles the transformed source on every call, so the
-		// unguarded baseline does too — the delta is purely the monitor.
-		if _, err := gdsx.RunSource(w.Name+"-g.c", tr.Source, opts); err != nil {
-			return nil, fmt.Errorf("%s (warmup): %w", w.Name, err)
-		}
-		bestBase := time.Duration(math.MaxInt64)
-		bestGuard := time.Duration(math.MaxInt64)
+		// GuardedRun recompiles the transformed source on every call, so
+		// the unguarded baseline does too — the delta is purely the
+		// monitor.
 		var baseOut, guardOut string
-		for i := 0; i < guardReps; i++ {
-			start := time.Now()
+		s, err := measure(1, guardReps, func() error {
 			res, err := gdsx.RunSource(w.Name+"-g.c", tr.Source, opts)
-			if d := time.Since(start); err == nil && d < bestBase {
-				bestBase = d
-			}
 			if err != nil {
-				return nil, fmt.Errorf("%s (base): %w", w.Name, err)
+				return fmt.Errorf("%s (base): %w", w.Name, err)
 			}
 			baseOut = res.Output
-
-			start = time.Now()
+			return nil
+		}, func() error {
 			gres, err := gdsx.GuardedRun(prog, tr, opts)
-			if d := time.Since(start); err == nil && d < bestGuard {
-				bestGuard = d
-			}
 			if err != nil {
-				return nil, fmt.Errorf("%s (guarded): %w", w.Name, err)
+				return fmt.Errorf("%s (guarded): %w", w.Name, err)
 			}
 			if gres.FellBack || gres.Violation != nil {
-				row.Violations = gres.Violation.Total
-				return nil, fmt.Errorf("%s: guard fired on a profiled input:\n%s",
+				return fmt.Errorf("%s: guard fired on a profiled input:\n%s",
 					w.Name, gres.Violation)
 			}
 			guardOut = gres.Result.Output
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		if baseOut != guardOut {
 			return nil, fmt.Errorf("%s: guarded output diverges from unguarded", w.Name)
 		}
-		row.BaseNS = bestBase.Nanoseconds()
-		row.GuardedNS = bestGuard.Nanoseconds()
+		row := GuardRow{
+			Workload:  w.Name,
+			BaseNS:    fastest(s[0]).Nanoseconds(),
+			GuardedNS: fastest(s[1]).Nanoseconds(),
+		}
 		row.Overhead = float64(row.GuardedNS) / float64(row.BaseNS)
-		logSum += math.Log(row.Overhead)
 		rep.Rows = append(rep.Rows, row)
 	}
-	rep.Geomean = math.Exp(logSum / float64(len(rep.Rows)))
+	rep.Geomean = geomean(rep.Rows, func(r GuardRow) float64 { return r.Overhead })
 	return rep, nil
+}
+
+// guarded compiles src and guard-transforms it, profiling on psrc.
+func (h *Harness) guarded(name, src, psrc string) (*gdsx.Program, *gdsx.TransformResult, error) {
+	prog, err := gdsx.Compile(name+".c", src)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: compile: %w", name, err)
+	}
+	tr, err := gdsx.Transform(prog, gdsx.TransformOptions{
+		Guard:         true,
+		ProfileSource: psrc,
+		ProfileOpts:   h.run(gdsx.RunOptions{}),
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: transform: %w", name, err)
+	}
+	return prog, tr, nil
+}
+
+// profileSource is w's profiling input: the profile-scale source, or
+// the harness-scale one when that is no larger.
+func (h *Harness) profileSource(w *workloads.Workload) string {
+	if h.cfg.Scale == workloads.ProfileScale || h.cfg.Scale == workloads.Test {
+		return w.Source(h.cfg.Scale)
+	}
+	return w.Source(workloads.ProfileScale)
 }
 
 // Render formats the guard-overhead report as a text table.

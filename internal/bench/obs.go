@@ -15,9 +15,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
-	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -48,12 +45,9 @@ type ObsRow struct {
 // ObsReport is the full overhead measurement, serialized to
 // BENCH_obs.json by gdsxbench -obs.
 type ObsReport struct {
-	GoVersion string   `json:"go_version"`
-	Scale     string   `json:"scale"`
-	Threads   int      `json:"threads"`
-	Reps      int      `json:"reps"`
-	Quick     bool     `json:"quick,omitempty"`
-	Rows      []ObsRow `json:"rows"`
+	Header
+	Quick bool     `json:"quick,omitempty"`
+	Rows  []ObsRow `json:"rows"`
 	// GeomeanOverhead is the geometric mean of the per-workload
 	// obs/base ratios, minus one.
 	GeomeanOverhead float64 `json:"geomean_overhead"`
@@ -75,8 +69,8 @@ type ObsReport struct {
 const (
 	obsReps    = 5
 	obsThreads = 4
-	// obsWarmups is the number of untimed steady-state runs before
-	// measurement starts (see ObsOverhead).
+	// obsWarmups is the number of untimed rounds before measurement
+	// starts (see ObsOverhead).
 	obsWarmups = 2
 	// obsQuickWorkloads bounds the -quick smoke run (CI gate).
 	obsQuickWorkloads = 3
@@ -92,11 +86,10 @@ const (
 	obsHot                    // obsSpans plus the per-access hot-site profiler
 )
 
-// timeObs runs the expanded program once under the given observer
-// configuration and returns the wall-clock duration. A fresh Observer
-// is built per run — reusing one would make later runs pay for earlier
-// runs' trace buffers.
-func timeObs(exp *gdsx.Program, cfg obsConfig, memSize int64, eng gdsx.Engine) (time.Duration, error) {
+// runObs runs the expanded program once under the given observer
+// configuration. A fresh Observer is built per run — reusing one would
+// make later runs pay for earlier runs' trace buffers.
+func runObs(exp *gdsx.Program, cfg obsConfig, memSize int64, eng gdsx.Engine) error {
 	var o *gdsx.Observer
 	switch cfg {
 	case obsOn:
@@ -108,11 +101,10 @@ func timeObs(exp *gdsx.Program, cfg obsConfig, memSize int64, eng gdsx.Engine) (
 		o = gdsx.NewObserver(true)
 		o.IterSpans = true
 	}
-	start := time.Now()
 	_, err := exp.Run(gdsx.RunOptions{
 		Threads: obsThreads, MemSize: memSize, Engine: eng, Obs: o,
 	})
-	return time.Since(start), err
+	return err
 }
 
 // ObsOverhead measures the observability tax on every workload's
@@ -120,13 +112,7 @@ func timeObs(exp *gdsx.Program, cfg obsConfig, memSize int64, eng gdsx.Engine) (
 // run and the expensive hot-profiler configuration is skipped — the CI
 // smoke gate uses this variant.
 func (h *Harness) ObsOverhead(quick bool) (*ObsReport, error) {
-	rep := &ObsReport{
-		GoVersion: runtime.Version(),
-		Scale:     scaleName(h.cfg.Scale),
-		Threads:   obsThreads,
-		Reps:      obsReps,
-		Quick:     quick,
-	}
+	rep := &ObsReport{Header: h.header(obsThreads, obsReps), Quick: quick}
 	configs := []obsConfig{obsOff, obsOn, obsSpans, obsHot}
 	wls := workloads.All()
 	if quick {
@@ -135,7 +121,6 @@ func (h *Harness) ObsOverhead(quick bool) (*ObsReport, error) {
 			wls = wls[:obsQuickWorkloads]
 		}
 	}
-	logSum, logSumSpans, logSumHot := 0.0, 0.0, 0.0
 	for _, w := range wls {
 		prog, err := gdsx.Compile(w.Name+".c", w.Source(h.cfg.Scale))
 		if err != nil {
@@ -156,66 +141,47 @@ func (h *Harness) ObsOverhead(quick bool) (*ObsReport, error) {
 		// The first few runs of a process execute on a fresh heap and can
 		// be several times faster than steady state (the 256 MiB simulated
 		// memory dominates the Go heap; reruns pay GC and memclr debt), so
-		// a couple of untimed warmups bring the process to steady state
-		// first. The configuration order then rotates each repetition and the
-		// per-config median is reported — a min would hand any residual
-		// fresh-heap outlier to whichever configuration happened to run
-		// early.
-		for i := 0; i < obsWarmups; i++ {
-			if _, err := timeObs(exp, obsOff, h.cfg.MemSize, h.cfg.Engine); err != nil {
-				return nil, fmt.Errorf("%s (warmup): %w", w.Name, err)
+		// two untimed rounds bring the process to steady state first, and
+		// each configuration reports its median.
+		variants := make([]func() error, len(configs))
+		for i, c := range configs {
+			variants[i] = func() error {
+				if err := runObs(exp, c, h.cfg.MemSize, h.cfg.Engine); err != nil {
+					return fmt.Errorf("%s (config %d): %w", w.Name, c, err)
+				}
+				return nil
 			}
 		}
-		samples := map[obsConfig][]time.Duration{}
-		for i := 0; i < obsReps; i++ {
-			for j := range configs {
-				c := configs[(i+j)%len(configs)]
-				d, err := timeObs(exp, c, h.cfg.MemSize, h.cfg.Engine)
-				if err != nil {
-					return nil, fmt.Errorf("%s (config %d): %w", w.Name, c, err)
-				}
-				samples[c] = append(samples[c], d)
-			}
+		s, err := measure(obsWarmups, obsReps, variants...)
+		if err != nil {
+			return nil, err
 		}
 		row := ObsRow{
 			Workload: w.Name,
-			BaseNS:   median(samples[obsOff]).Nanoseconds(),
-			ObsNS:    median(samples[obsOn]).Nanoseconds(),
+			BaseNS:   median(s[obsOff]).Nanoseconds(),
+			ObsNS:    median(s[obsOn]).Nanoseconds(),
 		}
 		row.Overhead = float64(row.ObsNS)/float64(row.BaseNS) - 1
-		logSum += math.Log(float64(row.ObsNS) / float64(row.BaseNS))
 		if !quick {
-			row.SpansNS = median(samples[obsSpans]).Nanoseconds()
+			row.SpansNS = median(s[obsSpans]).Nanoseconds()
 			row.SpansOverhead = float64(row.SpansNS)/float64(row.BaseNS) - 1
-			logSumSpans += math.Log(float64(row.SpansNS) / float64(row.BaseNS))
-			row.HotNS = median(samples[obsHot]).Nanoseconds()
+			row.HotNS = median(s[obsHot]).Nanoseconds()
 			row.HotOverhead = float64(row.HotNS)/float64(row.BaseNS) - 1
-			logSumHot += math.Log(float64(row.HotNS) / float64(row.BaseNS))
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
-	n := float64(len(rep.Rows))
-	rep.GeomeanOverhead = math.Exp(logSum/n) - 1
+	overhead := func(tier func(ObsRow) int64) float64 {
+		return geomean(rep.Rows, func(r ObsRow) float64 { return float64(tier(r)) / float64(r.BaseNS) }) - 1
+	}
+	rep.GeomeanOverhead = overhead(func(r ObsRow) int64 { return r.ObsNS })
 	if !quick {
-		rep.GeomeanSpansOverhead = math.Exp(logSumSpans/n) - 1
-		rep.GeomeanHotOverhead = math.Exp(logSumHot/n) - 1
+		rep.GeomeanSpansOverhead = overhead(func(r ObsRow) int64 { return r.SpansNS })
+		rep.GeomeanHotOverhead = overhead(func(r ObsRow) int64 { return r.HotNS })
 	}
 	if err := serveObsTier(rep); err != nil {
 		return nil, fmt.Errorf("serve tier: %w", err)
 	}
 	return rep, nil
-}
-
-// median returns the middle sample (sorted); the mean of the two
-// middles for even counts.
-func median(ds []time.Duration) time.Duration {
-	s := append([]time.Duration(nil), ds...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // Render formats the overhead report as a text table.

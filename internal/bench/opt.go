@@ -14,8 +14,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"strings"
 	"time"
 
@@ -34,12 +32,9 @@ type OptRow struct {
 // OptReport is the full optimization comparison, serialized to
 // BENCH_opt.json by gdsxbench -bench-opt.
 type OptReport struct {
-	GoVersion string   `json:"go_version"`
-	Scale     string   `json:"scale"`
-	Threads   int      `json:"threads"`
-	Reps      int      `json:"reps"`
-	Rows      []OptRow `json:"rows"`
-	Geomean   float64  `json:"geomean_speedup"`
+	Header
+	Rows    []OptRow `json:"rows"`
+	Geomean float64  `json:"geomean_speedup"`
 }
 
 // OptQuickWorkloads is the subset the CI smoke gate measures
@@ -47,28 +42,6 @@ type OptReport struct {
 // bit twiddling, block transforms — to catch a pipeline regression
 // without rerunning the full suite.
 var OptQuickWorkloads = []string{"dijkstra", "256.bzip2", "md5"}
-
-// GeomeanOver recomputes the report's geomean speedup over the named
-// subset of its rows, so a quick measurement can be compared against
-// the matching rows of a full checked-in report. Returns false if any
-// name has no row.
-func (r *OptReport) GeomeanOver(names []string) (float64, bool) {
-	logSum := 0.0
-	for _, name := range names {
-		found := false
-		for _, row := range r.Rows {
-			if row.Workload == name {
-				logSum += math.Log(row.Speedup)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return 0, false
-		}
-	}
-	return math.Exp(logSum / float64(len(names))), true
-}
 
 // hotProfile collects a workload's hot-site weights at profile scale.
 func hotProfile(w *workloads.Workload, memSize int64) (*gdsx.SiteProfile, error) {
@@ -87,21 +60,8 @@ func hotProfile(w *workloads.Workload, memSize int64) (*gdsx.SiteProfile, error)
 // unoptimized and optimized compiled engine at the harness scale,
 // single-threaded. quick restricts the sweep to OptQuickWorkloads.
 func (h *Harness) OptComparison(quick bool) (*OptReport, error) {
-	rep := &OptReport{
-		GoVersion: runtime.Version(),
-		Scale:     scaleName(h.cfg.Scale),
-		Threads:   1,
-		Reps:      engineReps,
-	}
-	ws := workloads.All()
-	if quick {
-		ws = ws[:0:0]
-		for _, name := range OptQuickWorkloads {
-			ws = append(ws, workloads.ByName(name))
-		}
-	}
-	logSum := 0.0
-	for _, w := range ws {
+	rep := &OptReport{Header: h.header(1, engineReps)}
+	for _, w := range workloadSet(quick, OptQuickWorkloads) {
 		prog, err := gdsx.Compile(w.Name+".c", w.Source(h.cfg.Scale))
 		if err != nil {
 			return nil, fmt.Errorf("%s: compile: %w", w.Name, err)
@@ -110,46 +70,22 @@ func (h *Harness) OptComparison(quick bool) (*OptReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: hot profile: %w", w.Name, err)
 		}
-		timeOpt := func(eng gdsx.Engine, sp *gdsx.SiteProfile) (time.Duration, error) {
-			start := time.Now()
-			_, err := prog.Run(gdsx.RunOptions{
-				Threads: 1, MemSize: h.cfg.MemSize, Engine: eng, OptProfile: sp,
-			})
-			return time.Since(start), err
-		}
-		// Warm up untimed, then alternate the engines within each
-		// repetition so neither is systematically favored (see
-		// EngineComparison for the rationale).
-		if _, err := timeOpt(gdsx.EngineCompiled, sites); err != nil {
-			return nil, fmt.Errorf("%s (warmup): %w", w.Name, err)
-		}
-		bestNoOpt := time.Duration(math.MaxInt64)
-		bestOpt := time.Duration(math.MaxInt64)
-		for i := 0; i < engineReps; i++ {
-			d, err := timeOpt(gdsx.EngineCompiledNoOpt, nil)
-			if err != nil {
-				return nil, fmt.Errorf("%s (noopt): %w", w.Name, err)
-			}
-			if d < bestNoOpt {
-				bestNoOpt = d
-			}
-			if d, err = timeOpt(gdsx.EngineCompiled, sites); err != nil {
-				return nil, fmt.Errorf("%s (opt): %w", w.Name, err)
-			}
-			if d < bestOpt {
-				bestOpt = d
-			}
+		opts := gdsx.RunOptions{Threads: 1, MemSize: h.cfg.MemSize, Engine: gdsx.EngineCompiledNoOpt}
+		noopt := runVariant(w.Name, prog, opts)
+		opts.Engine, opts.OptProfile = gdsx.EngineCompiled, sites
+		s, err := measure(1, engineReps, noopt, runVariant(w.Name, prog, opts))
+		if err != nil {
+			return nil, err
 		}
 		row := OptRow{
 			Workload: w.Name,
-			NoOptNS:  bestNoOpt.Nanoseconds(),
-			OptNS:    bestOpt.Nanoseconds(),
+			NoOptNS:  fastest(s[0]).Nanoseconds(),
+			OptNS:    fastest(s[1]).Nanoseconds(),
 		}
 		row.Speedup = float64(row.NoOptNS) / float64(row.OptNS)
-		logSum += math.Log(row.Speedup)
 		rep.Rows = append(rep.Rows, row)
 	}
-	rep.Geomean = math.Exp(logSum / float64(len(rep.Rows)))
+	rep.Geomean = geomean(rep.Rows, func(r OptRow) float64 { return r.Speedup })
 	return rep, nil
 }
 

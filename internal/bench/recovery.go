@@ -9,8 +9,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
-	"runtime"
 	"strings"
 	"time"
 
@@ -56,10 +54,7 @@ type RecoveryOverheadRow struct {
 // RecoveryReport is the full measurement, serialized to
 // BENCH_recovery.json by gdsxbench -recovery.
 type RecoveryReport struct {
-	GoVersion string                `json:"go_version"`
-	Scale     string                `json:"scale"`
-	Threads   int                   `json:"threads"`
-	Reps      int                   `json:"reps"`
+	Header
 	Violating []RecoveryRow         `json:"violating"`
 	Overhead  []RecoveryOverheadRow `json:"overhead"`
 	// GeomeanOverhead summarizes the violation-free snapshot cost.
@@ -75,58 +70,36 @@ const recoveryReps = 3
 // guarded with and without snapshots.
 func (h *Harness) Recovery() (*RecoveryReport, error) {
 	threads := h.cfg.Threads[len(h.cfg.Threads)-1]
-	rep := &RecoveryReport{
-		GoVersion: runtime.Version(),
-		Scale:     scaleName(h.cfg.Scale),
-		Threads:   threads,
-		Reps:      recoveryReps,
-	}
+	rep := &RecoveryReport{Header: h.header(threads, recoveryReps)}
 
 	for _, a := range workloads.AdversarialAll() {
-		prog, err := gdsx.Compile(a.Name+".c", a.Expose(h.cfg.Scale))
+		prog, tr, err := h.guarded(a.Name, a.Expose(h.cfg.Scale), a.Profile(h.cfg.Scale))
 		if err != nil {
-			return nil, fmt.Errorf("%s: compile: %w", a.Name, err)
-		}
-		tr, err := gdsx.Transform(prog, gdsx.TransformOptions{
-			Guard:         true,
-			ProfileSource: a.Profile(h.cfg.Scale),
-			ProfileOpts:   h.run(gdsx.RunOptions{}),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: transform: %w", a.Name, err)
+			return nil, err
 		}
 		opts := h.run(gdsx.RunOptions{Threads: threads})
 		ropts := opts
 		ropts.Recover = &gdsx.RecoverySpec{}
 
 		row := RecoveryRow{Workload: a.Name}
-		bestFall := time.Duration(math.MaxInt64)
-		bestRec := time.Duration(math.MaxInt64)
 		var fallOut, recOut string
-		for i := 0; i < recoveryReps; i++ {
-			start := time.Now()
+		s, err := measure(0, recoveryReps, func() error {
 			fres, err := gdsx.GuardedRun(prog, tr, opts)
-			if d := time.Since(start); err == nil && d < bestFall {
-				bestFall = d
-			}
 			if err != nil {
-				return nil, fmt.Errorf("%s (fallback): %w", a.Name, err)
+				return fmt.Errorf("%s (fallback): %w", a.Name, err)
 			}
 			if !fres.FellBack {
-				return nil, fmt.Errorf("%s: exposing input did not trip the guard", a.Name)
+				return fmt.Errorf("%s: exposing input did not trip the guard", a.Name)
 			}
 			fallOut = fres.Result.Output
-
-			start = time.Now()
+			return nil
+		}, func() error {
 			rres, err := gdsx.GuardedRun(prog, tr, ropts)
-			if d := time.Since(start); err == nil && d < bestRec {
-				bestRec = d
-			}
 			if err != nil {
-				return nil, fmt.Errorf("%s (recover): %w", a.Name, err)
+				return fmt.Errorf("%s (recover): %w", a.Name, err)
 			}
 			if rres.FellBack {
-				return nil, fmt.Errorf("%s: recovery run still fell back whole-program", a.Name)
+				return fmt.Errorf("%s: recovery run still fell back whole-program", a.Name)
 			}
 			recOut = rres.Result.Output
 			row.Recovered = rres.Recovered
@@ -135,69 +108,45 @@ func (h *Harness) Recovery() (*RecoveryReport, error) {
 				row.RollbackPages += r.RollbackPages
 				row.RollbackBytes += r.RollbackBytes
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		if fallOut != recOut {
 			return nil, fmt.Errorf("%s: recovery output diverges from fallback output", a.Name)
 		}
-		row.FallbackNS = bestFall.Nanoseconds()
-		row.RecoverNS = bestRec.Nanoseconds()
+		row.FallbackNS = fastest(s[0]).Nanoseconds()
+		row.RecoverNS = fastest(s[1]).Nanoseconds()
 		row.Speedup = float64(row.FallbackNS) / float64(row.RecoverNS)
 		rep.Violating = append(rep.Violating, row)
 	}
 
-	logSum := 0.0
 	for _, w := range workloads.All() {
-		src := w.Source(h.cfg.Scale)
-		psrc := w.Source(workloads.ProfileScale)
-		if h.cfg.Scale == workloads.ProfileScale || h.cfg.Scale == workloads.Test {
-			psrc = src
-		}
-		prog, err := gdsx.Compile(w.Name+".c", src)
+		prog, tr, err := h.guarded(w.Name, w.Source(h.cfg.Scale), h.profileSource(w))
 		if err != nil {
-			return nil, fmt.Errorf("%s: compile: %w", w.Name, err)
-		}
-		tr, err := gdsx.Transform(prog, gdsx.TransformOptions{
-			Guard:         true,
-			ProfileSource: psrc,
-			ProfileOpts:   h.run(gdsx.RunOptions{}),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: transform: %w", w.Name, err)
+			return nil, err
 		}
 		opts := h.run(gdsx.RunOptions{Threads: threads})
 		ropts := opts
 		ropts.Recover = &gdsx.RecoverySpec{}
 
 		row := RecoveryOverheadRow{Workload: w.Name}
-		// Warm the Go heap once, then alternate within each repetition
-		// so the two configurations see the same allocator state.
-		if _, err := gdsx.GuardedRun(prog, tr, opts); err != nil {
-			return nil, fmt.Errorf("%s (warmup): %w", w.Name, err)
-		}
-		bestBase := time.Duration(math.MaxInt64)
-		bestSnap := time.Duration(math.MaxInt64)
 		var baseOut, snapOut string
-		for i := 0; i < recoveryReps; i++ {
-			start := time.Now()
+		s, err := measure(1, recoveryReps, func() error {
 			bres, err := gdsx.GuardedRun(prog, tr, opts)
-			if d := time.Since(start); err == nil && d < bestBase {
-				bestBase = d
-			}
 			if err != nil {
-				return nil, fmt.Errorf("%s (base): %w", w.Name, err)
+				return fmt.Errorf("%s (base): %w", w.Name, err)
 			}
 			baseOut = bres.Result.Output
-
-			start = time.Now()
+			return nil
+		}, func() error {
 			sres, err := gdsx.GuardedRun(prog, tr, ropts)
-			if d := time.Since(start); err == nil && d < bestSnap {
-				bestSnap = d
-			}
 			if err != nil {
-				return nil, fmt.Errorf("%s (snapshot): %w", w.Name, err)
+				return fmt.Errorf("%s (snapshot): %w", w.Name, err)
 			}
 			if sres.Recovered != 0 || sres.FellBack {
-				return nil, fmt.Errorf("%s: rollback on a profiled input", w.Name)
+				return fmt.Errorf("%s: rollback on a profiled input", w.Name)
 			}
 			snapOut = sres.Result.Output
 			row.SnapshotPages, row.SnapshotBytes = 0, 0
@@ -205,17 +154,20 @@ func (h *Harness) Recovery() (*RecoveryReport, error) {
 				row.SnapshotPages += r.SnapshotPages
 				row.SnapshotBytes += r.SnapshotBytes
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		if baseOut != snapOut {
 			return nil, fmt.Errorf("%s: snapshot run output diverges", w.Name)
 		}
-		row.BaseNS = bestBase.Nanoseconds()
-		row.SnapNS = bestSnap.Nanoseconds()
+		row.BaseNS = fastest(s[0]).Nanoseconds()
+		row.SnapNS = fastest(s[1]).Nanoseconds()
 		row.Overhead = float64(row.SnapNS) / float64(row.BaseNS)
-		logSum += math.Log(row.Overhead)
 		rep.Overhead = append(rep.Overhead, row)
 	}
-	rep.GeomeanOverhead = math.Exp(logSum / float64(len(rep.Overhead)))
+	rep.GeomeanOverhead = geomean(rep.Overhead, func(r RecoveryOverheadRow) float64 { return r.Overhead })
 	return rep, nil
 }
 

@@ -17,7 +17,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -70,43 +69,13 @@ type ServeLoadRow struct {
 // BENCH_serve.json by gdsxbench -serve-load.
 type ServeLoadReport struct {
 	GoVersion string         `json:"go_version"`
+	Host      *Host          `json:"host,omitempty"`
 	Rows      []ServeLoadRow `json:"rows"`
 	// P99Geomean aggregates the scenarios' p99 latencies (ms).
 	P99Geomean float64 `json:"p99_geomean_ms"`
 	// GoroutineDelta is runtime.NumGoroutine growth measured after the
 	// last scenario drained — the no-leak acceptance check (≤ 2).
 	GoroutineDelta int `json:"goroutine_delta"`
-}
-
-// GeomeanOver recomputes the geomean p99 over the named scenarios,
-// for gating a quick run against a full checked-in report. Returns
-// false if any name has no row.
-func (r *ServeLoadReport) GeomeanOver(names []string) (float64, bool) {
-	return r.geomeanOver(names, func(row *ServeLoadRow) float64 { return row.P99Ms })
-}
-
-// GeomeanP50Over is GeomeanOver for the median — the stable statistic
-// the CI gate holds to its tight threshold.
-func (r *ServeLoadReport) GeomeanP50Over(names []string) (float64, bool) {
-	return r.geomeanOver(names, func(row *ServeLoadRow) float64 { return row.P50Ms })
-}
-
-func (r *ServeLoadReport) geomeanOver(names []string, stat func(*ServeLoadRow) float64) (float64, bool) {
-	logSum := 0.0
-	for _, name := range names {
-		found := false
-		for i := range r.Rows {
-			if r.Rows[i].Scenario == name {
-				logSum += math.Log(stat(&r.Rows[i]))
-				found = true
-				break
-			}
-		}
-		if !found {
-			return 0, false
-		}
-	}
-	return math.Exp(logSum / float64(len(names))), true
 }
 
 // serveScenario describes one load pattern.
@@ -199,17 +168,15 @@ func serveScenarios(quick bool) []serveScenario {
 // the chaos scenario (the CI gate subset).
 func ServeLoad(quick bool) (*ServeLoadReport, error) {
 	before := runtime.NumGoroutine()
-	rep := &ServeLoadReport{GoVersion: runtime.Version()}
-	logSum := 0.0
+	rep := &ServeLoadReport{GoVersion: runtime.Version(), Host: thisHost()}
 	for _, sc := range serveScenarios(quick) {
 		row, err := runServeScenario(sc)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", sc.name, err)
 		}
 		rep.Rows = append(rep.Rows, *row)
-		logSum += math.Log(row.P99Ms)
 	}
-	rep.P99Geomean = math.Exp(logSum / float64(len(rep.Rows)))
+	rep.P99Geomean = geomean(rep.Rows, func(r ServeLoadRow) float64 { return r.P99Ms })
 
 	// No-leak acceptance check: once every scenario's server has shut
 	// down and traffic drained, goroutine count must return to baseline.
@@ -389,48 +356,30 @@ func serveObsTier(rep *ObsReport) error {
 	if err != nil {
 		return err
 	}
-	batch := func(url string) (time.Duration, error) {
-		start := time.Now()
-		for i := 0; i < serveObsReqs; i++ {
-			resp, err := http.Post(url+"/run", "application/json", bytes.NewReader(body))
-			if err != nil {
-				return 0, err
+	batch := func(url string) func() error {
+		return func() error {
+			for i := 0; i < serveObsReqs; i++ {
+				resp, err := http.Post(url+"/run", "application/json", bytes.NewReader(body))
+				if err != nil {
+					return err
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					return fmt.Errorf("request returned %d", resp.StatusCode)
+				}
 			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return 0, fmt.Errorf("request returned %d", resp.StatusCode)
-			}
+			return nil
 		}
-		return time.Since(start), nil
 	}
 
-	// Warmup builds each server's cache entry and brings the process to
-	// steady state, as in ObsOverhead.
-	for _, url := range []string{base.URL, obsd.URL} {
-		if _, err := batch(url); err != nil {
-			return fmt.Errorf("warmup: %w", err)
-		}
+	// The warmup round builds each server's cache entry and brings the
+	// process to steady state, as in ObsOverhead.
+	s, err := measure(1, serveObsReps, batch(base.URL), batch(obsd.URL))
+	if err != nil {
+		return err
 	}
-	var baseSamples, obsSamples []time.Duration
-	for i := 0; i < serveObsReps; i++ {
-		order := []*httptest.Server{base, obsd}
-		if i%2 == 1 {
-			order[0], order[1] = order[1], order[0]
-		}
-		for _, ts := range order {
-			d, err := batch(ts.URL)
-			if err != nil {
-				return err
-			}
-			if ts == base {
-				baseSamples = append(baseSamples, d)
-			} else {
-				obsSamples = append(obsSamples, d)
-			}
-		}
-	}
-	rep.ServeBaseNS = median(baseSamples).Nanoseconds()
-	rep.ServeObsNS = median(obsSamples).Nanoseconds()
+	rep.ServeBaseNS = median(s[0]).Nanoseconds()
+	rep.ServeObsNS = median(s[1]).Nanoseconds()
 	rep.ServeOverhead = float64(rep.ServeObsNS)/float64(rep.ServeBaseNS) - 1
 	return nil
 }

@@ -29,9 +29,8 @@ const (
 	EngineTree
 	// EngineCompiledNoOpt is the compiled engine with the optimization
 	// pipeline disabled (register promotion, superinstruction fusion,
-	// site specialization). Machine construction normalizes it to
-	// EngineCompiled with Options.Opt = OptNone; it exists so command
-	// flags and tests can name the unoptimized configuration.
+	// site specialization): it compiles exactly the closures the engine
+	// emitted before the pipeline existed.
 	EngineCompiledNoOpt
 )
 

@@ -176,14 +176,11 @@ type Options struct {
 	// pipeline (see the chunk-sweep ablation).
 	DispatchChunk int
 	// Engine selects the execution engine. The zero value is the
-	// closure-compiling engine; EngineTree is the tree-walking
-	// reference implementation (see engine.go).
+	// closure-compiling engine with its optimization pipeline (see
+	// opt.go); EngineCompiledNoOpt compiles without the pipeline and
+	// EngineTree is the tree-walking reference implementation (see
+	// engine.go).
 	Engine Engine
-	// Opt selects how much of the compiled engine's optimization
-	// pipeline applies (see opt.go). The zero value is the full
-	// pipeline; OptNone reproduces the unoptimized closures.
-	// Setting Engine to EngineCompiledNoOpt forces OptNone.
-	Opt OptLevel
 	// OptProfile, when set, drives profile-guided site specialization:
 	// the hottest sites it names get flattened load/store accessors.
 	// Nil disables the pass; the other passes do not need a profile.
@@ -226,10 +223,6 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.Engine == EngineCompiledNoOpt {
-		o.Engine = EngineCompiled
-		o.Opt = OptNone
-	}
 	if o.NumThreads <= 0 {
 		o.NumThreads = 1
 	}
@@ -311,7 +304,7 @@ type Machine struct {
 	accessHooks *Hooks
 
 	// code holds the closure-compiled function bodies when the machine
-	// runs with EngineCompiled; nil under EngineTree.
+	// runs a compiled engine; nil under EngineTree.
 	code *compiledProg
 }
 
@@ -352,7 +345,7 @@ func New(prog *ast.Program, info *sema.Info, opts Options) *Machine {
 	if m.opts.Hooks.HasAccessHooks() {
 		m.accessHooks = m.opts.Hooks
 	}
-	if opts.Engine == EngineCompiled {
+	if opts.Engine != EngineTree {
 		m.code = compileProgram(m)
 	}
 	return m

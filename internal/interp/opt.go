@@ -1,7 +1,7 @@
 // Optimization pipeline for the compiled engine.
 //
 // compileProgram runs three passes between sema and closure emission,
-// all off when Options.Opt == OptNone (the compiled-noopt engine):
+// all off under EngineCompiledNoOpt:
 //
 //  1. Scalar register promotion (opt_promote.go): locals whose address
 //     is never taken live in Go-native frame slots (frame.regs) in
@@ -31,19 +31,6 @@ import (
 	"sort"
 
 	"gdsx/internal/obs"
-)
-
-// OptLevel selects how much of the optimization pipeline the compiled
-// engine applies. The zero value is the full pipeline.
-type OptLevel int
-
-const (
-	// OptDefault applies the full pipeline (promotion, fusion, and —
-	// when a profile is attached — site specialization).
-	OptDefault OptLevel = iota
-	// OptNone compiles exactly the closures the engine emitted before
-	// the pipeline existed; -engine compiled-noopt selects this.
-	OptNone
 )
 
 // DefaultProfileTopK is how many of the hottest sites a SiteProfile
@@ -106,8 +93,8 @@ func (p *SiteProfile) hotSet() map[int]bool {
 type optConfig struct {
 	// fuse enables superinstruction fusion and constant-operand
 	// folding. Fusion preserves every observable (tick totals, cache
-	// traffic, hook events, fault positions), so it only turns off at
-	// OptNone.
+	// traffic, hook events, fault positions), so it only turns off
+	// under EngineCompiledNoOpt.
 	fuse bool
 	// promote enables scalar register promotion. Promoted reads skip
 	// the cache model, so promotion additionally requires that nothing
@@ -120,7 +107,7 @@ type optConfig struct {
 }
 
 func newOptConfig(m *Machine) optConfig {
-	if m.opts.Opt == OptNone {
+	if m.opts.Engine == EngineCompiledNoOpt {
 		return optConfig{}
 	}
 	cfg := optConfig{fuse: true}

@@ -151,17 +151,3 @@ func Transform(p *Program, opts TransformOptions) (*TransformResult, error) {
 	}
 	return res, nil
 }
-
-// TransformAndRun is a convenience wrapper: transform the program, then
-// compile and execute the result.
-func TransformAndRun(p *Program, topts TransformOptions, ropts RunOptions) (*TransformResult, Result, error) {
-	tr, err := Transform(p, topts)
-	if err != nil {
-		return nil, Result{}, err
-	}
-	out, err := RunSource(p.File+" (expanded)", tr.Source, ropts)
-	if err != nil {
-		return tr, Result{}, fmt.Errorf("gdsx: running transformed program: %w\n--- transformed source ---\n%s", err, tr.Source)
-	}
-	return tr, out, nil
-}
