@@ -96,9 +96,6 @@ type RunOptions struct {
 	// Every policy produces identical output, counters and guard
 	// verdicts; only load balance differs.
 	Sched SchedPolicy
-	// DispatchChunk sets the iterations per shared-counter grab for
-	// self-scheduled loops (0 = 1, the paper's DOACROSS chunk size).
-	DispatchChunk int
 	// Hooks intercept execution (profiling, runtime privatization).
 	Hooks *interp.Hooks
 	// Engine selects the execution engine. The zero value is
@@ -269,7 +266,6 @@ func (o RunOptions) interpOptions() interp.Options {
 		MemLimit:        o.MemLimit,
 		FailAlloc:       o.FailAlloc,
 		Sched:           o.Sched,
-		DispatchChunk:   o.DispatchChunk,
 		Hooks:           o.Hooks,
 		Engine:          o.Engine,
 		OptProfile:      o.OptProfile,

@@ -18,10 +18,9 @@
 // Redirect/Free/ParallelStart/ParallelEnd) at the same program points
 // with the same access-site IDs, maintains the same work/sync/wait
 // counters and cache-model traffic, and raises the same runtime
-// errors at the same positions. Cold paths that run a handful of
-// times per loop instance (parallel-loop bound computation, global
-// initialization) intentionally reuse the tree-walker so the two
-// engines cannot drift there.
+// errors at the same positions. Global initialization, a cold path,
+// intentionally reuses the tree-walker so the two engines cannot drift
+// there.
 package interp
 
 import (

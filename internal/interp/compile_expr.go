@@ -11,7 +11,7 @@ import (
 // fallbackExpr delegates a rarely-executed or error-raising expression
 // to the tree-walker, which ticks and faults exactly as specified.
 func (c *compiler) fallbackExpr(e ast.Expr) cexpr {
-	return func(t *thread, f *frame) value { return t.eval(f, e) }
+	return treeExpr(e)
 }
 
 // fallbackAddr delegates an address computation to the tree-walker.

@@ -423,28 +423,34 @@ func (c *compiler) compileFor(x *ast.For) cstmt {
 		return seq
 	}
 
-	var traced cstmt
-	if c.m.opts.TraceParallel {
-		traced = c.compileTracedFor(x)
-	}
+	traced := c.m.opts.TraceParallel
 	useParallel := (c.m.opts.NumThreads > 1 || c.m.opts.ParallelizeSingle) &&
 		!c.m.opts.ForceSequential
-	if traced == nil && !useParallel {
+	if !traced && !useParallel {
 		return seq
 	}
 
-	var initB bodyFn
+	l := &parLoop{x: x, body: bodyFn(c.compileStmt(x.Body)), seq: bodyFn(seq)}
 	if x.Init != nil {
-		initB = bodyFn(c.compileStmt(x.Init))
+		l.init = bodyFn(c.compileStmt(x.Init))
 	}
-	bodyB := bodyFn(c.compileStmt(x.Body))
+	if traced {
+		if x.Cond != nil {
+			l.test = c.compileCondTest(x.Cond)
+		}
+		if x.Post != nil {
+			l.post = c.compileExpr(x.Post)
+		}
+	} else {
+		l.hdr = newLoopHeader(x, c.compileExpr)
+	}
 
 	return func(t *thread, f *frame) ctrl {
 		if !t.parallel && t.ts == nil {
-			if traced != nil {
-				return traced(t, f)
+			if traced {
+				return t.runTracedFor(f, l)
 			}
-			return t.runParallelFor(f, x, initB, bodyB, bodyFn(seq))
+			return t.runParallelFor(f, l)
 		}
 		return seq(t, f)
 	}
@@ -504,75 +510,6 @@ func (c *compiler) compileSeqFor(x *ast.For) cstmt {
 		}
 		if h != nil && t.isMain && h.LoopExit != nil {
 			h.LoopExit(id)
-		}
-		return ctrlNext
-	}
-}
-
-// compileTracedFor mirrors execTracedFor: sequential execution of a
-// parallel loop while recording the per-iteration cost trace.
-func (c *compiler) compileTracedFor(x *ast.For) cstmt {
-	var init cstmt
-	if x.Init != nil {
-		init = c.compileStmt(x.Init)
-	}
-	var cond cexpr
-	var trc func(value) bool
-	if x.Cond != nil {
-		cond = c.compileExpr(x.Cond)
-		trc = truthC(x.Cond.ExprType())
-	}
-	var post cexpr
-	if x.Post != nil {
-		post = c.compileExpr(x.Post)
-	}
-	body := c.compileStmt(x.Body)
-	id := x.ID
-	kind := x.Par
-	nt := c.m.opts.NumThreads
-	h := c.hooks
-
-	return func(t *thread, f *frame) ctrl {
-		tr := &LoopTrace{LoopID: id, Kind: kind}
-		t.ts = &traceState{trace: tr}
-		if h != nil && h.ParallelStart != nil {
-			h.ParallelStart(id, nt)
-		}
-		defer func() {
-			t.ts = nil
-			t.m.traces = append(t.m.traces, tr)
-			if h != nil && h.ParallelEnd != nil {
-				h.ParallelEnd(id)
-			}
-		}()
-
-		mark := t.sp
-		defer func() { t.sp = mark }()
-		if init != nil {
-			if cc := init(t, f); cc != ctrlNext {
-				return cc
-			}
-		}
-		var iter int64
-		for {
-			if cond != nil && !trc(cond(t, f)) {
-				break
-			}
-			t.curIter = iter
-			t.posted = false
-			iter++
-			t.ts.beginIter(t)
-			cc := body(t, f)
-			t.ts.endIter(t)
-			if cc == ctrlBreak {
-				break
-			}
-			if cc == ctrlReturn {
-				return cc
-			}
-			if post != nil {
-				post(t, f)
-			}
 		}
 		return ctrlNext
 	}

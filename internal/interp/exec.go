@@ -140,16 +140,10 @@ func (t *thread) exec(f *frame, s ast.Stmt) ctrl {
 	case *ast.For:
 		if x.Par != ast.Sequential && !t.parallel && t.ts == nil {
 			if t.m.opts.TraceParallel {
-				return t.execTracedFor(f, x)
+				return t.runTracedFor(f, treeParLoop(x))
 			}
 			if (t.m.opts.NumThreads > 1 || t.m.opts.ParallelizeSingle) && !t.m.opts.ForceSequential {
-				var init bodyFn
-				if x.Init != nil {
-					init = func(t *thread, f *frame) ctrl { return t.exec(f, x.Init) }
-				}
-				return t.runParallelFor(f, x, init,
-					func(t *thread, f *frame) ctrl { return t.exec(f, x.Body) },
-					func(t *thread, f *frame) ctrl { return t.execSeqFor(f, x) })
+				return t.runParallelFor(f, treeParLoop(x))
 			}
 		}
 		return t.execSeqFor(f, x)
@@ -220,6 +214,32 @@ func (t *thread) execDecl(f *frame, d *ast.VarDecl) {
 	}
 }
 
+// treeExpr evaluates e with the tree-walker.
+func treeExpr(e ast.Expr) cexpr {
+	return func(t *thread, f *frame) value { return t.eval(f, e) }
+}
+
+// treeParLoop feeds the parallel-loop drivers the tree-walker's
+// closures for x.
+func treeParLoop(x *ast.For) *parLoop {
+	l := &parLoop{
+		x:    x,
+		body: func(t *thread, f *frame) ctrl { return t.exec(f, x.Body) },
+		seq:  func(t *thread, f *frame) ctrl { return t.execSeqFor(f, x) },
+		hdr:  newLoopHeader(x, treeExpr),
+	}
+	if x.Init != nil {
+		l.init = func(t *thread, f *frame) ctrl { return t.exec(f, x.Init) }
+	}
+	if x.Cond != nil {
+		l.test = func(t *thread, f *frame) bool { return truth(t.eval(f, x.Cond), x.Cond.ExprType()) }
+	}
+	if x.Post != nil {
+		l.post = treeExpr(x.Post)
+	}
+	return l
+}
+
 // execSeqFor runs a for loop sequentially (also used for parallel
 // loops under one thread or ForceSequential).
 func (t *thread) execSeqFor(f *frame, x *ast.For) ctrl {
@@ -268,53 +288,6 @@ func (t *thread) execSeqFor(f *frame, x *ast.For) ctrl {
 	}
 	if h != nil && t.isMain && h.LoopExit != nil {
 		h.LoopExit(x.ID)
-	}
-	return ctrlNext
-}
-
-// execTracedFor executes a parallel loop sequentially while recording
-// the per-iteration cost trace the schedule simulator replays.
-func (t *thread) execTracedFor(f *frame, x *ast.For) ctrl {
-	tr := &LoopTrace{LoopID: x.ID, Kind: x.Par}
-	t.ts = &traceState{trace: tr}
-	if h := t.m.opts.Hooks; h != nil && h.ParallelStart != nil {
-		h.ParallelStart(x.ID, t.m.opts.NumThreads)
-	}
-	defer func() {
-		t.ts = nil
-		t.m.traces = append(t.m.traces, tr)
-		if h := t.m.opts.Hooks; h != nil && h.ParallelEnd != nil {
-			h.ParallelEnd(x.ID)
-		}
-	}()
-
-	mark := t.sp
-	defer func() { t.sp = mark }()
-	if x.Init != nil {
-		if c := t.exec(f, x.Init); c != ctrlNext {
-			return c
-		}
-	}
-	var iter int64
-	for {
-		if x.Cond != nil && !truth(t.eval(f, x.Cond), x.Cond.ExprType()) {
-			break
-		}
-		t.curIter = iter
-		t.posted = false
-		iter++
-		t.ts.beginIter(t)
-		c := t.exec(f, x.Body)
-		t.ts.endIter(t)
-		if c == ctrlBreak {
-			break
-		}
-		if c == ctrlReturn {
-			return c
-		}
-		if x.Post != nil {
-			t.eval(f, x.Post)
-		}
 	}
 	return ctrlNext
 }

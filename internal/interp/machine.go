@@ -163,18 +163,12 @@ type Options struct {
 	// first), a fault-injection hook for OOM-robustness tests.
 	FailAlloc int64
 	// Sched selects the parallel-loop scheduler. The zero value is
-	// SchedStealing (work-stealing deques for DOALL, chunked
+	// SchedStealing (work-stealing deques for DOALL, one-iteration
 	// self-scheduling for DOACROSS); SchedStatic and SchedDynamic keep
 	// the fixed pre-stealing dispatches. All policies produce identical
 	// output, counters and guard semantics — only the iteration-to-
 	// thread assignment (and hence wall-clock balance) differs.
 	Sched SchedPolicy
-	// DispatchChunk is the iteration count per shared-counter grab for
-	// self-scheduled loops (DOACROSS under SchedStealing/SchedDynamic,
-	// DOALL under SchedDynamic). 0 means 1, the paper's chunk size.
-	// Larger chunks amortize dispatch but narrow the ordered-section
-	// pipeline (see the chunk-sweep ablation).
-	DispatchChunk int
 	// Engine selects the execution engine. The zero value is the
 	// closure-compiling engine with its optimization pipeline (see
 	// opt.go); EngineCompiledNoOpt compiles without the pipeline and

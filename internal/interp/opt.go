@@ -8,10 +8,10 @@
 //     addition to their simulated-memory alloca. Reads come from the
 //     register; writes update the register and write through to the
 //     backing bytes, so simulated memory stays byte-identical to an
-//     unoptimized run and every tree-walked or unfused read remains
-//     correct. Promotion is disabled whenever an observer could see
-//     the difference: per-access hooks, parallel tracing, or an
-//     attached Observer (whose mem_ops metric counts cache touches).
+//     unoptimized run and every unfused read remains correct.
+//     Promotion is disabled whenever an observer could see the
+//     difference: per-access hooks, parallel tracing, or an attached
+//     Observer (whose mem_ops metric counts cache touches).
 //
 //  2. Superinstruction fusion (opt_fuse.go): constant and promoted
 //     operands are folded into their consumers — indexed addressing

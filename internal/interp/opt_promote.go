@@ -9,8 +9,8 @@
 // unchanged) and every write updates both the register and the backing
 // bytes. Simulated memory therefore stays byte-identical to an
 // unoptimized run, which makes any remaining memory-path read of the
-// variable — tree-walked parallel-loop bounds, an unfused consumer, a
-// post-run memory dump — still correct. Only the reverse direction is
+// variable — an unfused consumer, a post-run memory dump — still
+// correct. Only the reverse direction is
 // unsound: a write that bypasses the register (an out-of-object store
 // landing in the slot, or tree-walked code mutating it) would leave
 // the register stale. The promotion criteria below rule those out for
@@ -75,10 +75,9 @@ func (c *compiler) promotableSlots(fn *ast.FuncDecl) []bool {
 		}
 		return true
 	})
-	// Parallel regions run their bounds through the tree-walker, copy
-	// only the slot table into worker frames, and roll memory (not
-	// registers) back on recovery — so every symbol a parallel loop
-	// subtree mentions stays in memory. The exclusion matches the
+	// Parallel regions copy only the slot table into worker frames and
+	// roll memory (not registers) back on recovery — so every symbol a
+	// parallel loop subtree mentions stays in memory. The exclusion matches the
 	// compile-time condition under which compileFor emits the parallel
 	// path at all; with one thread and no forced machinery nothing is
 	// excluded.

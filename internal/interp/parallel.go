@@ -17,65 +17,88 @@ type loopBounds struct {
 	start, step, n int64
 }
 
-// bounds computes the iteration space. Parallel loops require
-// loop-invariant bound and step expressions (as in OpenMP); both are
-// evaluated once, here.
-func (t *thread) bounds(f *frame, x *ast.For) loopBounds {
-	iv := x.IndVar
-	start := t.loadTyped(t.symAddr(f, iv, x.Pos()), iv.Type).I
+// loopHeader is an engine's form of a parallel loop's header: the step
+// and bound operands as closures, and the comparison with the
+// induction variable on the left. A header the runtime cannot
+// partition compiles to an operand that raises the fault, so it fires
+// at the same point of the evaluation order in every engine.
+type loopHeader struct {
+	step, bound cexpr
+	op          token.Kind
+}
 
-	// Step from the post expression.
-	var step int64
+// newLoopHeader splits x's post and condition into the step and bound
+// operands and turns each into a closure with operand, the engine's
+// expression evaluator.
+func newLoopHeader(x *ast.For, operand func(ast.Expr) cexpr) loopHeader {
+	isIV := func(e ast.Expr) bool {
+		id, ok := e.(*ast.Ident)
+		return ok && id.Sym == x.IndVar
+	}
+	fault := func(msg string) cexpr {
+		return func(*thread, *frame) value {
+			rterrf(x.Pos(), "%s", msg)
+			return value{}
+		}
+	}
+	// Any other post expression leaves the step zero.
+	h := loopHeader{step: func(*thread, *frame) value { return value{} }}
 	switch p := x.Post.(type) {
 	case *ast.IncDec:
-		step = 1
+		h.step = func(*thread, *frame) value { return value{I: 1} }
 	case *ast.Assign:
 		switch p.Op {
 		case token.ADDASSIGN:
-			step = t.eval(f, p.RHS).I
+			h.step = operand(p.RHS)
 		case token.ASSIGN:
-			b, ok := p.RHS.(*ast.Binary)
-			if !ok || b.Op != token.ADD {
-				rterrf(x.Pos(), "unsupported parallel loop step")
-			}
-			if id, ok := b.X.(*ast.Ident); ok && id.Sym == iv {
-				step = t.eval(f, b.Y).I
-			} else if id, ok := b.Y.(*ast.Ident); ok && id.Sym == iv {
-				step = t.eval(f, b.X).I
-			} else {
-				rterrf(x.Pos(), "unsupported parallel loop step")
+			h.step = fault("unsupported parallel loop step")
+			if b, ok := p.RHS.(*ast.Binary); ok && b.Op == token.ADD {
+				if isIV(b.X) {
+					h.step = operand(b.Y)
+				} else if isIV(b.Y) {
+					h.step = operand(b.X)
+				}
 			}
 		}
 	}
+
+	h.bound = fault("parallel loop condition does not test the induction variable")
+	if cond, ok := x.Cond.(*ast.Binary); ok {
+		h.op = cond.Op
+		if isIV(cond.X) {
+			h.bound = operand(cond.Y)
+		} else if isIV(cond.Y) {
+			h.bound = operand(cond.X)
+			// Mirror the comparison so the induction variable is on the left.
+			switch h.op {
+			case token.LSS:
+				h.op = token.GTR
+			case token.GTR:
+				h.op = token.LSS
+			case token.LEQ:
+				h.op = token.GEQ
+			case token.GEQ:
+				h.op = token.LEQ
+			}
+		}
+	}
+	return h
+}
+
+// bounds computes the iteration space. Parallel loops require
+// loop-invariant bound and step expressions (as in OpenMP); both are
+// evaluated once, here, step first.
+func (t *thread) bounds(f *frame, x *ast.For, h loopHeader) loopBounds {
+	iv := x.IndVar
+	start := t.loadTyped(t.symAddr(f, iv, x.Pos()), iv.Type).I
+	step := h.step(t, f).I
 	if step == 0 {
 		rterrf(x.Pos(), "parallel loop has zero step")
 	}
-
-	// Bound from the condition.
-	cond := x.Cond.(*ast.Binary)
-	op := cond.Op
-	var bound int64
-	if id, ok := cond.X.(*ast.Ident); ok && id.Sym == iv {
-		bound = t.eval(f, cond.Y).I
-	} else if id, ok := cond.Y.(*ast.Ident); ok && id.Sym == iv {
-		bound = t.eval(f, cond.X).I
-		// Mirror the comparison so the induction variable is on the left.
-		switch op {
-		case token.LSS:
-			op = token.GTR
-		case token.GTR:
-			op = token.LSS
-		case token.LEQ:
-			op = token.GEQ
-		case token.GEQ:
-			op = token.LEQ
-		}
-	} else {
-		rterrf(x.Pos(), "parallel loop condition does not test the induction variable")
-	}
+	bound := h.bound(t, f).I
 
 	var n int64
-	switch op {
+	switch h.op {
 	case token.LSS:
 		if step > 0 && bound > start {
 			n = (bound - start + step - 1) / step
@@ -115,39 +138,53 @@ func hasSyncStmts(body ast.Stmt) bool {
 }
 
 // bodyFn executes a loop body (or other statement) for one of the two
-// engines; the parallel-loop machinery below is engine-agnostic and
-// receives the body as a closure.
+// engines.
 type bodyFn func(t *thread, f *frame) ctrl
+
+// parLoop is one engine's executable form of a parallel for loop. The
+// parallel-loop machinery (runParallelFor, runTracedFor) is
+// engine-agnostic: it reaches the program only through these closures.
+type parLoop struct {
+	x    *ast.For
+	init bodyFn // the initializer; nil when absent
+	body bodyFn // one iteration's body
+	// seq executes the entire loop sequentially on the calling thread
+	// (the engine's sequential-for path), for region recovery and
+	// demotion.
+	seq bodyFn
+	// hdr gives runParallelFor the iteration space; runTracedFor steps
+	// the loop with test and post instead (each nil when absent).
+	hdr  loopHeader
+	test func(t *thread, f *frame) bool
+	post cexpr
+}
 
 // runParallelFor executes a parallel-annotated for loop with
 // N = Options.NumThreads simulated threads, one goroutine each.
-// Dispatch follows Options.Sched: under the default SchedStealing,
-// DOALL loops run on per-worker work-stealing deques (see sched.go)
-// and DOACROSS loops self-schedule in chunks; SchedStatic restores the
-// paper's Gomp schedules (§4.3) — static chunking for DOALL, dynamic
-// chunk-1 plus ordered-section tickets for DOACROSS — and SchedDynamic
-// self-schedules everything from a shared counter. init executes the loop
-// initializer (nil when the loop has none) and body one iteration's
-// body; seq executes the entire loop sequentially on the calling
-// thread (the engine's sequential-for path), used by region recovery
-// and demotion. Both engines share everything else.
+// Dispatch follows Options.Sched (see sched.go): under the default
+// SchedStealing, DOALL loops run on per-worker work-stealing deques
+// and DOACROSS loops self-schedule one iteration per grab; SchedStatic
+// gives every worker one contiguous chunk of every loop, as the
+// paper's Gomp DOALL schedule (§4.3) does; SchedDynamic self-schedules
+// everything from a shared counter.
 //
 // Without Options.Recover the parallel attempt's failures propagate as
 // panics (Machine.Run unwraps them into errors); with it, a guard
 // abort, worker fault or watchdog timeout rolls the region back to its
-// entry snapshot and re-executes just this loop via seq, so the run
+// entry snapshot and re-executes just this loop via l.seq, so the run
 // survives at O(region) cost. Sequential execution returns whatever
 // control outcome the loop produced (a sequential re-execution may
 // legally break or return, which a parallel run rejects).
-func (t *thread) runParallelFor(f *frame, x *ast.For, init, body, seq bodyFn) ctrl {
+func (t *thread) runParallelFor(f *frame, l *parLoop) ctrl {
+	x := l.x
 	rc := t.m.recovery
 	if rc == nil {
-		t.parallelAttempt(f, x, init, body)
+		t.parallelAttempt(f, l)
 		return ctrlNext
 	}
 	if !rc.admit(x.ID) {
 		// Demoted: run sequentially without snapshot or region hooks.
-		return seq(t, f)
+		return l.seq(t, f)
 	}
 	snap := t.beginRegionSnapshot()
 	var fail *regionFault
@@ -181,7 +218,7 @@ func (t *thread) runParallelFor(f *frame, x *ast.For, init, body, seq bodyFn) ct
 				panic(r)
 			}
 		}()
-		t.parallelAttempt(f, x, init, body)
+		t.parallelAttempt(f, l)
 	}()
 	if fail == nil {
 		// Chaos injection (Options.FaultPlan): an otherwise-committing
@@ -207,18 +244,19 @@ func (t *thread) runParallelFor(f *frame, x *ast.For, init, body, seq bodyFn) ct
 	// pre-region state. On thread 0 the expanded program touches only
 	// copy 0 of every expanded structure, so this reproduces native
 	// sequential semantics.
-	return seq(t, f)
+	return l.seq(t, f)
 }
 
 // parallelAttempt runs one parallel execution of the region. It
 // returns normally on success and panics on failure: interp.Abort for
 // a guard violation (raised by the monitor's safe-point hook),
 // regionFault for a contained worker fault or a watchdog timeout.
-func (t *thread) parallelAttempt(f *frame, x *ast.For, init, body bodyFn) {
-	if init != nil {
-		init(t, f)
+func (t *thread) parallelAttempt(f *frame, l *parLoop) {
+	x := l.x
+	if l.init != nil {
+		l.init(t, f)
 	}
-	lb := t.bounds(f, x)
+	lb := t.bounds(f, x, l.hdr)
 	iv := x.IndVar
 	ivAddr := t.symAddr(f, iv, x.Pos())
 	n := lb.n
@@ -254,11 +292,7 @@ func (t *thread) parallelAttempt(f *frame, x *ast.For, init, body bodyFn) {
 	if ordered {
 		order = &orderState{}
 	}
-	var next atomic.Int64 // dynamic-schedule iteration counter
-	chunk := int64(t.m.opts.DispatchChunk)
-	if chunk < 1 {
-		chunk = 1
-	}
+	var next atomic.Int64 // the shared counter of self-scheduled loops
 	policy := t.m.opts.Sched
 	if policy == SchedDynamic && t.m.opts.Hooks != nil && t.m.opts.Hooks.Guarded {
 		// Dynamic self-scheduling has no placement guarantee: a
@@ -331,18 +365,16 @@ func (t *thread) parallelAttempt(f *frame, x *ast.For, init, body bodyFn) {
 			// Private induction variable cell on the worker's stack.
 			pvAddr := w.alloca(iv.Type.Size(), x.Pos())
 			wf.slots[iv.Index] = pvAddr
+			var claim claimer
 			switch {
-			case x.Par == ast.DOALL && st != nil:
-				w.runStealing(wf, x, lb, pvAddr, st, body)
-			case x.Par == ast.DOALL && policy == SchedStatic:
-				w.runStaticChunk(wf, x, lb, pvAddr, body)
-			case x.Par == ast.DOALL:
-				w.runDOALLDynamic(wf, x, lb, pvAddr, &next, chunk, body)
+			case st != nil:
+				claim = st.claimer(w, x.ID)
 			case policy == SchedStatic:
-				w.runOrderedStatic(wf, x, lb, pvAddr, order, body)
+				claim = staticClaimer(n, nt, idx)
 			default:
-				w.runDynamic(wf, x, lb, pvAddr, &next, chunk, order, body)
+				claim = counterClaimer(&next, n)
 			}
+			w.runIters(wf, x, lb, pvAddr, claim, order, l.body)
 		}(i)
 	}
 	wg.Wait()
@@ -420,88 +452,4 @@ func firstFault(faults []*workerFault) *workerFault {
 		}
 	}
 	return first
-}
-
-// runStaticChunk executes a contiguous block of iterations (DOALL
-// static scheduling, as with Gomp's static chunking).
-func (w *thread) runStaticChunk(f *frame, x *ast.For, lb loopBounds, pvAddr int64, body bodyFn) {
-	nt := int64(w.m.opts.NumThreads)
-	chunk := lb.n / nt
-	rem := lb.n % nt
-	lo := int64(w.tid)*chunk + min(int64(w.tid), rem)
-	hi := lo + chunk
-	if int64(w.tid) < rem {
-		hi++
-	}
-	var iterStart, iterEnd func(loopID int, iter int64, tid int)
-	if h := w.m.opts.Hooks; h != nil {
-		iterStart, iterEnd = h.IterStart, h.IterEnd
-	}
-	w.counters[CatSync]++ // one dispatch per chunk
-	for k := lo; k < hi; k++ {
-		if w.cancel != nil && w.cancel.Load() {
-			return // a sibling worker faulted; stop at the safe point
-		}
-		w.curIter = k
-		w.storeTyped(pvAddr, x.IndVar.Type, value{I: lb.start + k*lb.step})
-		if iterStart != nil {
-			iterStart(x.ID, k, w.tid)
-		}
-		c := body(w, f)
-		if iterEnd != nil {
-			iterEnd(x.ID, k, w.tid)
-		}
-		if c == ctrlBreak {
-			rterrf(x.Pos(), "break out of a parallel loop")
-		}
-		if c == ctrlReturn {
-			rterrf(x.Pos(), "return out of a parallel loop")
-		}
-	}
-}
-
-// runDynamic executes iterations grabbed in chunk-sized pieces from a
-// shared counter (DOACROSS self-scheduling; the paper uses chunk 1),
-// entering ordered sections in iteration order via the ticket in
-// order. Dispatch is charged as one CatSync op per iteration under
-// every chunk size, so counters stay policy-independent.
-func (w *thread) runDynamic(f *frame, x *ast.For, lb loopBounds, pvAddr int64, next *atomic.Int64, chunk int64, order *orderState, body bodyFn) {
-	w.order = order
-	defer func() { w.order = nil }()
-	var iterStart, iterEnd func(loopID int, iter int64, tid int)
-	if h := w.m.opts.Hooks; h != nil {
-		iterStart, iterEnd = h.IterStart, h.IterEnd
-	}
-	for {
-		lo := next.Add(chunk) - chunk
-		if lo >= lb.n {
-			return
-		}
-		hi := min(lo+chunk, lb.n)
-		for k := lo; k < hi; k++ {
-			if w.cancel != nil && w.cancel.Load() {
-				return // a sibling worker faulted; stop at the safe point
-			}
-			w.counters[CatSync]++ // one dispatch per iteration
-			w.curIter = k
-			w.posted = false
-			w.inOrdered = false
-			w.storeTyped(pvAddr, x.IndVar.Type, value{I: lb.start + k*lb.step})
-			if iterStart != nil {
-				iterStart(x.ID, k, w.tid)
-			}
-			c := body(w, f)
-			if iterEnd != nil {
-				iterEnd(x.ID, k, w.tid)
-			}
-			if c == ctrlBreak || c == ctrlReturn {
-				rterrf(x.Pos(), "break/return out of a parallel loop")
-			}
-			// If the ordered section was skipped on this path, post now
-			// so later iterations are not blocked forever.
-			if order != nil && !w.posted {
-				w.syncPost()
-			}
-		}
-	}
 }

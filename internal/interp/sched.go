@@ -24,16 +24,15 @@ const (
 	// increasing under any interleaving, which the guard monitor's
 	// replay relies on: same-thread accesses are serialized in
 	// iteration order, exactly as under static scheduling. DOACROSS
-	// loops self-schedule chunked grabs from a shared counter (chunk
-	// size Options.DispatchChunk, default 1), entering ordered
-	// sections in iteration order exactly as before.
+	// loops self-schedule one iteration per grab from a shared
+	// counter, entering ordered sections in iteration order.
 	SchedStealing SchedPolicy = iota
 	// SchedStatic is the pre-stealing scheduler: contiguous static
 	// chunks for every parallel loop (with DOACROSS ordered sections
 	// still entered in iteration order via tickets).
 	SchedStatic
 	// SchedDynamic self-schedules every parallel loop from a shared
-	// counter in DispatchChunk-sized grabs (the pre-stealing DOACROSS
+	// counter, one iteration per grab (the pre-stealing DOACROSS
 	// scheduler, applied to DOALL too).
 	SchedDynamic
 )
@@ -140,9 +139,10 @@ func (d *stealDeque) put(lo, hi int64) {
 // stealState is the shared state of one work-stealing DOALL region.
 type stealState struct {
 	deques []stealDeque
-	// remaining counts unexecuted iterations; workers retire after it
-	// reaches zero (claimed-but-unexecuted work cannot be stolen, so an
-	// idle worker with no steal target left just waits for the field).
+	grain  int64 // iterations an owner takes from its deque at once
+	// remaining counts iterations still in some deque; an idle worker
+	// with no steal target retires once it reaches zero (until then a
+	// thief's put may yet hand out an eligible range).
 	remaining atomic.Int64
 	// steals counts successful steals, for the region's obs summary.
 	steals atomic.Int64
@@ -154,65 +154,86 @@ type stealState struct {
 // the work a thief cannot take from a nearly-done victim.
 const stealGrainDiv = 8
 
-// newStealState builds the initial deques: the same contiguous
-// partition static scheduling uses, with each worker's first grain
-// iterations pinned. The pin guarantees every worker executes at least
-// one iteration of its own share even when the host serializes the
-// goroutines (one worker would otherwise race ahead and steal
-// everything), which keeps cross-thread effects — the guard monitor's
-// whole subject — reproducible across hosts.
+// staticRange is worker tid's share of n iterations under the
+// contiguous partition every policy starts from: the first n%nt
+// workers get one iteration more than the rest.
+func staticRange(n int64, nt, tid int) (lo, hi int64) {
+	chunk, rem, t := n/int64(nt), n%int64(nt), int64(tid)
+	lo = t*chunk + min(t, rem)
+	hi = lo + chunk
+	if t < rem {
+		hi++
+	}
+	return lo, hi
+}
+
+// newStealState builds the initial deques: the static partition, with
+// each worker's first grain iterations pinned. The pin guarantees
+// every worker executes at least one iteration of its own share even
+// when the host serializes the goroutines (one worker would otherwise
+// race ahead and steal everything), which keeps cross-thread effects —
+// the guard monitor's whole subject — reproducible across hosts.
 func newStealState(n int64, nt int) *stealState {
-	st := &stealState{deques: make([]stealDeque, nt)}
+	st := &stealState{deques: make([]stealDeque, nt), grain: max(1, (n/int64(nt))/stealGrainDiv)}
 	st.remaining.Store(n)
-	chunk := n / int64(nt)
-	rem := n % int64(nt)
-	grain := max(1, chunk/stealGrainDiv)
-	for t := int64(0); t < int64(nt); t++ {
-		lo := t*chunk + min(t, rem)
-		hi := lo + chunk
-		if t < rem {
-			hi++
-		}
+	for t := range st.deques {
 		d := &st.deques[t]
-		d.lo, d.hi = lo, hi
-		d.pin = min(lo+grain, hi)
+		d.lo, d.hi = staticRange(n, nt, t)
+		d.pin = min(d.lo+st.grain, d.hi)
 	}
 	return st
 }
 
-// runStealing executes a DOALL loop under the work-stealing scheduler.
-// Tick parity: dispatch is charged as one CatSync op per worker, the
-// same accounting as static chunking, so counters are bit-identical
-// across scheduling policies.
-func (w *thread) runStealing(f *frame, x *ast.For, lb loopBounds, pvAddr int64, st *stealState, body bodyFn) {
-	var iterStart, iterEnd func(loopID int, iter int64, tid int)
-	if h := w.m.opts.Hooks; h != nil {
-		iterStart, iterEnd = h.IterStart, h.IterEnd
+// claimer hands one worker its next range of iterations [lo, hi);
+// last is the last iteration the worker executed (-1 before its
+// first), and ok is false once the worker has no more work.
+type claimer func(last int64) (lo, hi int64, ok bool)
+
+// staticClaimer hands worker tid its static share, once.
+func staticClaimer(n int64, nt, tid int) claimer {
+	done := false
+	return func(int64) (lo, hi int64, ok bool) {
+		if done {
+			return 0, 0, false
+		}
+		done = true
+		lo, hi = staticRange(n, nt, tid)
+		return lo, hi, true
 	}
-	w.counters[CatSync]++ // one dispatch per worker, as with static chunks
-	nt := len(st.deques)
+}
+
+// counterClaimer self-schedules one iteration per grab from the shared
+// counter next (the paper's DOACROSS chunk 1).
+func counterClaimer(next *atomic.Int64, n int64) claimer {
+	return func(int64) (lo, hi int64, ok bool) {
+		lo = next.Add(1) - 1
+		return lo, lo + 1, lo < n
+	}
+}
+
+// claimer hands worker w grains of its own deque and, once that is
+// empty, steals. It picks the victim whose stolen range would start
+// lowest among those above the floor (w's last executed iteration):
+// taking the lowest eligible range first preserves w's eligibility for
+// the others. With no eligible range anywhere it waits for the region
+// to drain (or for a cancellation).
+func (st *stealState) claimer(w *thread, loop int) claimer {
 	own := &st.deques[w.tid]
-	grain := max(1, (lb.n/int64(nt))/stealGrainDiv)
-	last := int64(-1) // last executed iteration: the steal floor
 	o := w.m.opts.Obs
-	for {
-		lo, hi, ok := own.take(grain)
-		for !ok {
-			// Own deque empty: try to steal. Pick the victim whose
-			// stolen range would start lowest among those above the
-			// floor — taking the lowest eligible range first preserves
-			// this thread's eligibility for the others. If no deque has
-			// eligible work the remaining iterations are claimed and
-			// running elsewhere (or below the floor), so wait for the
-			// region to drain (or for a cancellation).
+	return func(last int64) (lo, hi int64, ok bool) {
+		for {
+			if lo, hi, ok = own.take(st.grain); ok {
+				st.remaining.Add(lo - hi)
+				return lo, hi, true
+			}
 			if w.cancel != nil && w.cancel.Load() {
-				return
+				return 0, 0, false
 			}
 			if w.m.stop.Load() {
-				return // machine-level cancellation: see parallelAttempt
+				return 0, 0, false // machine-level cancellation: see parallelAttempt
 			}
 			best, bestLo := -1, int64(0)
-			for v := 0; v < nt; v++ {
+			for v := range st.deques {
 				if v == w.tid {
 					continue
 				}
@@ -220,30 +241,58 @@ func (w *thread) runStealing(f *frame, x *ast.For, lb loopBounds, pvAddr int64, 
 					best, bestLo = v, plo
 				}
 			}
-			if best >= 0 {
-				// A raced-away range just means another sweep.
-				if slo, shi, sok := st.deques[best].steal(last); sok {
-					st.steals.Add(1)
-					if o != nil {
-						o.Counter("sched.steals").Inc()
-						o.Emit(obs.Event{Name: "steal", Ph: 'i', Tid: w.tid,
-							Loop: x.ID, Iter: slo, Label: "doall", V1: int64(best), V2: shi - slo})
-					}
-					own.put(slo, shi)
+			if best < 0 {
+				if st.remaining.Load() <= 0 {
+					return 0, 0, false
 				}
+				runtime.Gosched()
+				continue
 			}
-			if lo, hi, ok = own.take(grain); !ok {
-				if best < 0 {
-					if st.remaining.Load() <= 0 {
-						return
-					}
-					runtime.Gosched()
+			// A raced-away range just means another sweep.
+			if slo, shi, sok := st.deques[best].steal(last); sok {
+				st.steals.Add(1)
+				if o != nil {
+					o.Counter("sched.steals").Inc()
+					o.Emit(obs.Event{Name: "steal", Ph: 'i', Tid: w.tid,
+						Loop: loop, Iter: slo, Label: "doall", V1: int64(best), V2: shi - slo})
 				}
+				own.put(slo, shi)
 			}
+		}
+	}
+}
+
+// runIters is the one per-iteration dispatch loop of every policy: it
+// executes the ranges claim hands the worker until claim runs dry or
+// the region is cancelled. Dispatch is charged as one CatSync op per
+// worker for DOALL and one per iteration for DOACROSS under every
+// policy, so counters are identical across policies. A DOACROSS
+// iteration that skipped its ordered section posts at its end, so
+// later iterations are not blocked forever.
+func (w *thread) runIters(f *frame, x *ast.For, lb loopBounds, pvAddr int64, claim claimer, order *orderState, body bodyFn) {
+	doall := x.Par == ast.DOALL
+	w.order = order
+	var iterStart, iterEnd func(loopID int, iter int64, tid int)
+	if h := w.m.opts.Hooks; h != nil {
+		iterStart, iterEnd = h.IterStart, h.IterEnd
+	}
+	if doall {
+		w.counters[CatSync]++
+	}
+	last := int64(-1)
+	for {
+		lo, hi, ok := claim(last)
+		if !ok {
+			return
 		}
 		for k := lo; k < hi; k++ {
 			if w.cancel != nil && w.cancel.Load() {
 				return // a sibling worker faulted; stop at the safe point
+			}
+			if !doall {
+				w.counters[CatSync]++
+				w.posted = false
+				w.inOrdered = false
 			}
 			w.curIter = k
 			last = k
@@ -255,98 +304,17 @@ func (w *thread) runStealing(f *frame, x *ast.For, lb loopBounds, pvAddr int64, 
 			if iterEnd != nil {
 				iterEnd(x.ID, k, w.tid)
 			}
-			st.remaining.Add(-1)
-			if c == ctrlBreak {
+			switch {
+			case c == ctrlBreak && doall:
 				rterrf(x.Pos(), "break out of a parallel loop")
-			}
-			if c == ctrlReturn {
+			case c == ctrlReturn && doall:
 				rterrf(x.Pos(), "return out of a parallel loop")
+			case c == ctrlBreak || c == ctrlReturn:
+				rterrf(x.Pos(), "break/return out of a parallel loop")
 			}
-		}
-	}
-}
-
-// runDOALLDynamic executes a DOALL loop by self-scheduling
-// DispatchChunk-sized grabs from a shared counter (SchedDynamic).
-// Dispatch is charged as one CatSync op per worker — DOALL accounting
-// is policy-independent.
-func (w *thread) runDOALLDynamic(f *frame, x *ast.For, lb loopBounds, pvAddr int64, next *atomic.Int64, chunk int64, body bodyFn) {
-	var iterStart, iterEnd func(loopID int, iter int64, tid int)
-	if h := w.m.opts.Hooks; h != nil {
-		iterStart, iterEnd = h.IterStart, h.IterEnd
-	}
-	w.counters[CatSync]++
-	for {
-		lo := next.Add(chunk) - chunk
-		if lo >= lb.n {
-			return
-		}
-		hi := min(lo+chunk, lb.n)
-		for k := lo; k < hi; k++ {
-			if w.cancel != nil && w.cancel.Load() {
-				return
+			if order != nil && !w.posted {
+				w.syncPost()
 			}
-			w.curIter = k
-			w.storeTyped(pvAddr, x.IndVar.Type, value{I: lb.start + k*lb.step})
-			if iterStart != nil {
-				iterStart(x.ID, k, w.tid)
-			}
-			c := body(w, f)
-			if iterEnd != nil {
-				iterEnd(x.ID, k, w.tid)
-			}
-			if c == ctrlBreak {
-				rterrf(x.Pos(), "break out of a parallel loop")
-			}
-			if c == ctrlReturn {
-				rterrf(x.Pos(), "return out of a parallel loop")
-			}
-		}
-	}
-}
-
-// runOrderedStatic executes a DOACROSS loop on contiguous static
-// chunks (SchedStatic). Ordered sections still run in iteration order
-// via the shared ticket, which pipelines the chunks back-to-front; it
-// is slower than self-scheduling but preserves sequential semantics
-// exactly. Dispatch is charged per iteration — DOACROSS accounting is
-// policy-independent.
-func (w *thread) runOrderedStatic(f *frame, x *ast.For, lb loopBounds, pvAddr int64, order *orderState, body bodyFn) {
-	w.order = order
-	defer func() { w.order = nil }()
-	nt := int64(w.m.opts.NumThreads)
-	chunk := lb.n / nt
-	rem := lb.n % nt
-	lo := int64(w.tid)*chunk + min(int64(w.tid), rem)
-	hi := lo + chunk
-	if int64(w.tid) < rem {
-		hi++
-	}
-	var iterStart, iterEnd func(loopID int, iter int64, tid int)
-	if h := w.m.opts.Hooks; h != nil {
-		iterStart, iterEnd = h.IterStart, h.IterEnd
-	}
-	for k := lo; k < hi; k++ {
-		if w.cancel != nil && w.cancel.Load() {
-			return
-		}
-		w.counters[CatSync]++ // one dispatch per iteration
-		w.curIter = k
-		w.posted = false
-		w.inOrdered = false
-		w.storeTyped(pvAddr, x.IndVar.Type, value{I: lb.start + k*lb.step})
-		if iterStart != nil {
-			iterStart(x.ID, k, w.tid)
-		}
-		c := body(w, f)
-		if iterEnd != nil {
-			iterEnd(x.ID, k, w.tid)
-		}
-		if c == ctrlBreak || c == ctrlReturn {
-			rterrf(x.Pos(), "break/return out of a parallel loop")
-		}
-		if order != nil && !w.posted {
-			w.syncPost()
 		}
 	}
 }

@@ -80,3 +80,47 @@ func (ts *traceState) endIter(t *thread) {
 	c.MemAll = memAll
 	ts.trace.Iters = append(ts.trace.Iters, c)
 }
+
+// runTracedFor executes a parallel loop sequentially while recording
+// the per-iteration cost trace the schedule simulator replays.
+func (t *thread) runTracedFor(f *frame, l *parLoop) ctrl {
+	x := l.x
+	tr := &LoopTrace{LoopID: x.ID, Kind: x.Par}
+	t.ts = &traceState{trace: tr}
+	h := t.m.opts.Hooks
+	if h != nil && h.ParallelStart != nil {
+		h.ParallelStart(x.ID, t.m.opts.NumThreads)
+	}
+	defer func() {
+		t.ts = nil
+		t.m.traces = append(t.m.traces, tr)
+		if h != nil && h.ParallelEnd != nil {
+			h.ParallelEnd(x.ID)
+		}
+	}()
+
+	mark := t.sp
+	defer func() { t.sp = mark }()
+	if l.init != nil {
+		if c := l.init(t, f); c != ctrlNext {
+			return c
+		}
+	}
+	for iter := int64(0); l.test == nil || l.test(t, f); iter++ {
+		t.curIter = iter
+		t.posted = false
+		t.ts.beginIter(t)
+		c := l.body(t, f)
+		t.ts.endIter(t)
+		if c == ctrlBreak {
+			break
+		}
+		if c == ctrlReturn {
+			return c
+		}
+		if l.post != nil {
+			l.post(t, f)
+		}
+	}
+	return ctrlNext
+}

@@ -204,7 +204,7 @@ func simulateStatic(tr *interp.LoopTrace, n int, m Model) Breakdown {
 // the thread with the earliest clock acts next — consuming a grain
 // from its own deque, or, when empty, stealing the upper half of the
 // lowest eligible victim range above its floor (the same victim choice
-// and monotonicity rule as interp's runStealing). Each steal is
+// and monotonicity rule as interp's stealing claimer). Each steal is
 // charged one StaticDispatch, so a run with zero steals costs exactly
 // what simulateStatic charges.
 func simulateStealing(tr *interp.LoopTrace, n int, m Model) Breakdown {
@@ -368,7 +368,6 @@ func simulateDynamic(tr *interp.LoopTrace, n int, m Model) Breakdown {
 	b.Sync += m.SpawnPerRegion
 	return b
 }
-
 
 // ProgramTime computes the simulated execution time of a whole traced
 // run with n threads: the sequential ops outside parallel loops plus

@@ -12,6 +12,7 @@ package gdsx
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"gdsx/internal/interp"
@@ -82,12 +83,14 @@ func TestOptEngineParity(t *testing.T) {
 // position and message, from all three engines. The cases hit the
 // paths the optimizer rewrites — promoted scalars around a faulting
 // access, a fused loop condition driving a budget fault, and an
-// allocation failure mid-loop.
+// allocation failure mid-loop — and the parallel-loop bounds, which
+// each engine evaluates with its own closures.
 func TestOptEngineFaultParity(t *testing.T) {
 	cases := []struct {
 		name string
 		src  string
 		opts RunOptions
+		want string // when set, the error every engine must end in
 	}{
 		{
 			// The faulting dereference sits between reads and writes of
@@ -138,6 +141,56 @@ func TestOptEngineFaultParity(t *testing.T) {
 				return *p;
 			}`,
 		},
+		{
+			// Parallel-loop bounds are evaluated by each engine's own
+			// closures; a header the runtime cannot partition must fault
+			// identically in all three.
+			name: "par-zero-step",
+			src: `int a[8];
+			int main() {
+				int i; int k;
+				k = 0;
+				parallel for (i = 0; i < 8; i += k) { a[i] = i; }
+				return 0;
+			}`,
+			opts: RunOptions{Threads: 2},
+			want: "parallel loop has zero step",
+		},
+		{
+			name: "par-mul-step",
+			src: `int a[8];
+			int main() {
+				int i;
+				parallel for (i = 1; i < 8; i = i * 2) { a[i] = i; }
+				return 0;
+			}`,
+			opts: RunOptions{Threads: 2},
+			want: "unsupported parallel loop step",
+		},
+		{
+			name: "par-cond-not-indvar",
+			src: `int a[8];
+			int main() {
+				int i; int j;
+				j = 0;
+				parallel for (i = 0; j < 8; i++) { a[i] = i; }
+				return 0;
+			}`,
+			opts: RunOptions{Threads: 2},
+			want: "parallel loop condition does not test the induction variable",
+		},
+		{
+			name: "par-bound-div-zero",
+			src: `int a[8];
+			int main() {
+				int i; int z;
+				z = 0;
+				parallel for (i = 0; i < 8 / z; i++) { a[i] = i; }
+				return 0;
+			}`,
+			opts: RunOptions{Threads: 2},
+			want: "par-bound-div-zero.c:5:32: runtime error: integer division by zero",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -150,6 +203,9 @@ func TestOptEngineFaultParity(t *testing.T) {
 					t.Fatalf("%s: expected a runtime error", ename)
 				}
 				errs[ename] = rerr.Error()
+				if !strings.HasSuffix(errs[ename], tc.want) {
+					t.Errorf("%s: error %q does not end in %q", ename, errs[ename], tc.want)
+				}
 			}
 			for _, ename := range []string{"noopt", "opt"} {
 				if errs[ename] != errs["tree"] {
