@@ -430,7 +430,8 @@ func (c *compiler) compileFor(x *ast.For) cstmt {
 		return seq
 	}
 
-	l := &parLoop{x: x, body: bodyFn(c.compileStmt(x.Body)), seq: bodyFn(seq)}
+	l := &parLoop{x: x, body: bodyFn(c.compileStmt(x.Body)), seq: bodyFn(seq),
+		ivReg: c.isPromoted(x.IndVar)}
 	if x.Init != nil {
 		l.init = bodyFn(c.compileStmt(x.Init))
 	}

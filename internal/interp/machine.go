@@ -77,7 +77,8 @@ type Hooks struct {
 	// Load/Store/Observe) only need events from threads executing
 	// inside a parallel region. The engines then keep sequential-
 	// context accesses on the fast path (and re-enable scalar register
-	// promotion, which never applies inside parallel subtrees anyway).
+	// promotion, whose registers inside a region are private to a worker
+	// or never written there; see newOptConfig).
 	// The guard monitor sets it: the monitor is inert between regions.
 	RegionOnly bool
 	// PrivateStacks declares that Observe does not need accesses a

@@ -115,7 +115,12 @@ func newOptConfig(m *Machine) optConfig {
 	// own-stack worker events (the guard monitor) keeps promotion: the
 	// scalars promotion hides are exactly frame slots — sequential-
 	// context ones under RegionOnly, worker-own-stack ones (helpers
-	// called from loop bodies) under PrivateStacks.
+	// called from loop bodies, body-declared locals, the private
+	// induction variable) under PrivateStacks. The one class whose
+	// region reads such a chain would otherwise log is an outer scalar
+	// the loop body only reads (promotableSlots). No violation rule can
+	// fire on it: its address is never taken and nothing in the region
+	// writes it, so it has no conflicting store and no expanded copy.
 	cfg.promote = (m.accessHooks == nil ||
 		(m.accessHooks.RegionOnly && m.accessHooks.PrivateStacks)) &&
 		!m.opts.TraceParallel && m.opts.Obs == nil

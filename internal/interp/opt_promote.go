@@ -14,7 +14,8 @@
 // unsound: a write that bypasses the register (an out-of-object store
 // landing in the slot, or tree-walked code mutating it) would leave
 // the register stale. The promotion criteria below rule those out for
-// well-defined programs, and parallel regions fall back wholesale.
+// well-defined programs. Inside a parallel region only the outer
+// scalars a loop body writes fall back to memory (see promotableSlots).
 package interp
 
 import (
@@ -46,9 +47,9 @@ func promotableType(t *ctypes.Type) bool {
 // promotableSlots returns, indexed by Symbol.Index, which of fn's
 // locals and parameters the compiler promotes; nil when promotion is
 // off or nothing qualifies. A slot qualifies when its address is never
-// taken (sema's AddrTaken bit), its type fits a register, and it is
-// not touched by any parallel-annotated loop the machine would
-// actually run in parallel.
+// taken (sema's AddrTaken bit), its type fits a register, and no
+// parallel-annotated loop the machine would actually run in parallel
+// writes it from a body that does not declare it.
 func (c *compiler) promotableSlots(fn *ast.FuncDecl) []bool {
 	if !c.opt.promote {
 		return nil
@@ -75,33 +76,22 @@ func (c *compiler) promotableSlots(fn *ast.FuncDecl) []bool {
 		}
 		return true
 	})
-	// Parallel regions copy only the slot table into worker frames and
-	// roll memory (not registers) back on recovery — so every symbol a
-	// parallel loop subtree mentions stays in memory. The exclusion matches the
-	// compile-time condition under which compileFor emits the parallel
-	// path at all; with one thread and no forced machinery nothing is
-	// excluded.
+	// Inside a parallel region each worker runs on its own copy of the
+	// spawning frame's registers. A slot the loop body declares is
+	// iteration-fresh (Definition 5's private class), an outer slot it
+	// only reads never changes during the region, and runIters keeps
+	// the induction variable's worker register current: all three stay
+	// promoted. An outer slot the body writes is shared between the
+	// workers and stays in memory. Recovery restores memory only and
+	// needs no register restore: the sequential re-execution re-creates
+	// body registers and rewrites the induction variable in its init.
+	// The demotion applies under the compile-time condition on which
+	// compileFor emits the parallel path at all.
 	if (c.m.opts.NumThreads > 1 || c.m.opts.ParallelizeSingle) && !c.m.opts.ForceSequential {
-		demote := func(sym *ast.Symbol) {
-			if sym != nil && (sym.Kind == ast.SymLocal || sym.Kind == ast.SymParam) &&
-				sym.Index < len(promoted) {
-				promoted[sym.Index] = false
-			}
-		}
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			fo, ok := n.(*ast.For)
-			if !ok || fo.Par == ast.Sequential {
-				return true
+			if fo, ok := n.(*ast.For); ok && fo.Par != ast.Sequential {
+				demoteWritten(fo.Body, promoted)
 			}
-			ast.Inspect(fo, func(inner ast.Node) bool {
-				switch x := inner.(type) {
-				case *ast.Ident:
-					demote(x.Sym)
-				case *ast.VarDecl:
-					demote(x.Sym)
-				}
-				return true
-			})
 			return true
 		})
 	}
@@ -111,6 +101,35 @@ func (c *compiler) promotableSlots(fn *ast.FuncDecl) []bool {
 		}
 	}
 	return nil
+}
+
+// demoteWritten demotes every local or parameter that body assigns or
+// steps but does not declare. A symbol body declares is fresh in each
+// iteration, so writing it never crosses workers.
+func demoteWritten(body ast.Stmt, promoted []bool) {
+	declared := map[*ast.Symbol]bool{}
+	var written []*ast.Symbol
+	ast.Inspect(body, func(n ast.Node) bool {
+		var lhs ast.Expr
+		switch x := n.(type) {
+		case *ast.VarDecl:
+			declared[x.Sym] = true
+		case *ast.Assign:
+			lhs = x.LHS
+		case *ast.IncDec:
+			lhs = x.X
+		}
+		if id, ok := lhs.(*ast.Ident); ok {
+			written = append(written, id.Sym)
+		}
+		return true
+	})
+	for _, sym := range written {
+		if sym != nil && (sym.Kind == ast.SymLocal || sym.Kind == ast.SymParam) &&
+			!declared[sym] && sym.Index < len(promoted) {
+			promoted[sym.Index] = false
+		}
+	}
 }
 
 // isPromoted reports whether sym lives in a frame register of the

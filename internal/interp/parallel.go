@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -157,6 +158,10 @@ type parLoop struct {
 	hdr  loopHeader
 	test func(t *thread, f *frame) bool
 	post cexpr
+	// ivReg marks a register-promoted induction variable: its register
+	// is kept equal to the private cell in every worker frame and to the
+	// final value after the loop.
+	ivReg bool
 }
 
 // runParallelFor executes a parallel-annotated for loop with
@@ -360,8 +365,9 @@ func (t *thread) parallelAttempt(f *frame, l *parLoop) {
 					cancel.Store(true)
 				}
 			}()
-			wf := &frame{fn: f.fn, slots: make([]int64, len(f.slots))}
-			copy(wf.slots, f.slots)
+			// The worker's frame shares the spawning frame's slots and
+			// starts from a copy of its registers (see promotableSlots).
+			wf := &frame{fn: f.fn, slots: slices.Clone(f.slots), regs: slices.Clone(f.regs)}
 			// Private induction variable cell on the worker's stack.
 			pvAddr := w.alloca(iv.Type.Size(), x.Pos())
 			wf.slots[iv.Index] = pvAddr
@@ -374,7 +380,7 @@ func (t *thread) parallelAttempt(f *frame, l *parLoop) {
 			default:
 				claim = counterClaimer(&next, n)
 			}
-			w.runIters(wf, x, lb, pvAddr, claim, order, l.body)
+			w.runIters(wf, l, lb, pvAddr, claim, order)
 		}(i)
 	}
 	wg.Wait()
@@ -424,7 +430,11 @@ func (t *thread) parallelAttempt(f *frame, l *parLoop) {
 	}
 	// Sequential semantics after the loop: the induction variable holds
 	// its first value failing the condition.
-	t.storeTyped(ivAddr, iv.Type, truncInt(lb.start+n*lb.step, iv.Type))
+	final := truncInt(lb.start+n*lb.step, iv.Type)
+	t.storeTyped(ivAddr, iv.Type, final)
+	if l.ivReg {
+		f.regs[iv.Index] = final
+	}
 }
 
 // workerFault records a panic caught in a parallel worker.

@@ -269,7 +269,9 @@ func (st *stealState) claimer(w *thread, loop int) claimer {
 // policy, so counters are identical across policies. A DOACROSS
 // iteration that skipped its ordered section posts at its end, so
 // later iterations are not blocked forever.
-func (w *thread) runIters(f *frame, x *ast.For, lb loopBounds, pvAddr int64, claim claimer, order *orderState, body bodyFn) {
+func (w *thread) runIters(f *frame, l *parLoop, lb loopBounds, pvAddr int64, claim claimer, order *orderState) {
+	x, body := l.x, l.body
+	iv := x.IndVar
 	doall := x.Par == ast.DOALL
 	w.order = order
 	var iterStart, iterEnd func(loopID int, iter int64, tid int)
@@ -296,7 +298,11 @@ func (w *thread) runIters(f *frame, x *ast.For, lb loopBounds, pvAddr int64, cla
 			}
 			w.curIter = k
 			last = k
-			w.storeTyped(pvAddr, x.IndVar.Type, value{I: lb.start + k*lb.step})
+			ivv := truncInt(lb.start+k*lb.step, iv.Type)
+			w.storeTyped(pvAddr, iv.Type, ivv)
+			if l.ivReg {
+				f.regs[iv.Index] = ivv
+			}
 			if iterStart != nil {
 				iterStart(x.ID, k, w.tid)
 			}

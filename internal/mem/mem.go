@@ -257,19 +257,26 @@ func (m *Memory) tickFail() bool {
 }
 
 // reserve charges size bytes against the live count, enforcing the
-// optional limit exactly even under concurrent allocation: the add
-// happens first and is undone when it overshoots. Callers must
-// un-reserve if the allocation subsequently fails.
+// optional limit exactly even under concurrent allocation: a
+// compare-and-swap publishes the new count only when it fits, so no
+// reader (Stats, finishAlloc's high-water mark) ever sees a rejected
+// reservation. Callers must un-reserve if the allocation subsequently
+// fails.
 func (m *Memory) reserve(size int64) bool {
 	lim := m.limit.Load()
-	if lim > 0 && m.liveBytes.Add(size) > lim {
-		m.liveBytes.Add(-size)
-		return false
-	}
 	if lim <= 0 {
 		m.liveBytes.Add(size)
+		return true
 	}
-	return true
+	for {
+		cur := m.liveBytes.Load()
+		if cur+size > lim {
+			return false
+		}
+		if m.liveBytes.CompareAndSwap(cur, cur+size) {
+			return true
+		}
+	}
 }
 
 // finishAlloc completes a successful allocation from either path:

@@ -216,3 +216,226 @@ func TestOptEngineFaultParity(t *testing.T) {
 		})
 	}
 }
+
+// regionPromotionCases cover each class of scalar the optimizer keeps
+// in registers inside a parallel region (body-declared locals, outer
+// scalars the body only reads, the induction variable) next to the
+// ones it must leave in memory (outer scalars the body writes).
+var regionPromotionCases = []struct{ name, src string }{
+	{
+		// Body-declared int, long, double and pointer locals.
+		name: "body-locals",
+		src: `double out[64];
+long lout[64];
+int main() {
+	int i;
+	parallel for (i = 0; i < 64; i++) {
+		int a = i * 3 + 1;
+		long b = (long)a * 1000003L;
+		double d = (double)b / 7.0;
+		double *p = &out[i];
+		*p = d + a;
+		lout[i] = b - a;
+	}
+	double s = 0.0;
+	long t = 0;
+	for (i = 0; i < 64; i++) { s = s + out[i]; t = t + lout[i]; }
+	print_double(s); print_char(' '); print_long(t); print_char('\n');
+	return 0;
+}`,
+	},
+	{
+		// Outer int, long, double and pointer scalars the body only
+		// reads, with parameters among them.
+		name: "outer-readonly",
+		src: `double out[48];
+void fill(double *q, int k, int n) {
+	long m = 1000000007L;
+	double scale = 0.25;
+	int i;
+	parallel for (i = 0; i < n; i++) {
+		q[i] = (double)((i * k) % m) * scale + (double)m;
+	}
+}
+int main() {
+	int i;
+	fill(&out[0], 7, 48);
+	double s = 0.0;
+	for (i = 0; i < 48; i++) { s = s + out[i]; }
+	print_double(s); print_char('\n');
+	return 0;
+}`,
+	},
+	{
+		// The induction variable, read in the body and by sequential
+		// code after the loop.
+		name: "indvar",
+		src: `int out[50];
+int main() {
+	int i;
+	parallel for (i = 3; i < 50; i += 2) { out[i] = i * i - 1; }
+	int last = i;
+	long s = 0;
+	for (i = 0; i < 50; i++) { s = s + out[i]; }
+	print_int(last); print_char(' '); print_long(s); print_char('\n');
+	return 0;
+}`,
+	},
+	{
+		// C89-style outer scalars used as the body's inner counter and
+		// accumulator: the body writes them, so they stay in memory
+		// (expansion gives each thread its own copy).
+		name: "c89-counter",
+		src: `long out[24];
+int main() {
+	int i; int j; long acc;
+	parallel for (i = 0; i < 24; i++) {
+		acc = 0;
+		for (j = 0; j < 100; j++) { acc = acc + i * j; }
+		out[i] = acc;
+	}
+	long s = 0;
+	for (i = 0; i < 24; i++) { s = s + out[i]; }
+	print_long(s); print_char('\n');
+	return 0;
+}`,
+	},
+	{
+		// A nested sequential loop whose counter and accumulator the body
+		// declares, under an induction variable the loop header declares.
+		name: "nested-seq",
+		src: `long out[32];
+int main() {
+	int n = 32;
+	parallel for (int i = 0; i < n; i++) {
+		long acc = 0;
+		for (int j = 0; j <= i; j++) { acc = acc + (long)j * n; }
+		out[i] = acc;
+	}
+	long s = 0;
+	for (int k = 0; k < n; k++) { s = s + out[k]; }
+	print_long(s); print_char('\n');
+	return 0;
+}`,
+	},
+	{
+		// A DOACROSS loop: the ordered section writes the outer h, which
+		// stays in memory, from a body-declared local and a read-only
+		// outer multiplier.
+		name: "doacross",
+		src: `int main() {
+	long h = 17;
+	int mul = 31;
+	int i;
+	parallel doacross for (i = 0; i < 40; i++) {
+		long v = (long)i * mul + 3;
+		h = (h * mul + v) % 1000003;
+	}
+	print_long(h); print_char(' '); print_int(i); print_char('\n');
+	return 0;
+}`,
+	},
+}
+
+// TestRegionPromotionParity runs the expanded regionPromotionCases
+// under every engine, thread count and scheduler: the output must match
+// the native sequential run, and the optimized engines must count the
+// tree-walker's work ops exactly.
+func TestRegionPromotionParity(t *testing.T) {
+	for _, tc := range regionPromotionCases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			xprog, want := expandForParity(t, tc.name, tc.src)
+			for _, n := range parityThreads {
+				for _, sc := range parityScheds {
+					checkEngineParity(t, xprog, want, fmt.Sprintf("N=%d %s", n, sc.name),
+						RunOptions{Threads: n, Sched: sc.pol})
+				}
+			}
+		})
+	}
+	// Forced rollbacks of a region that runs three times, with a
+	// read-only outer scalar that sequential code changes between
+	// executions and an induction variable read after the loop. The
+	// sequential re-execution after each rollback must leave the same
+	// registers and memory as a clean run.
+	t.Run("recover", func(t *testing.T) {
+		t.Parallel()
+		xprog, want := expandForParity(t, "rollback", `long out[32];
+int main() {
+	int r; int i;
+	long scale = 3;
+	for (r = 0; r < 3; r++) {
+		parallel for (i = 0; i < 32; i++) {
+			long a = (long)i * scale + r;
+			out[i] = out[i] + a;
+		}
+		scale = scale + i;
+	}
+	long s = 0;
+	for (i = 0; i < 32; i++) { s = s + out[i]; }
+	print_long(s); print_char(' '); print_int(i); print_char(' '); print_long(scale); print_char('\n');
+	return 0;
+}`)
+		for _, n := range []int{2, 4} {
+			for _, sc := range parityScheds {
+				res := checkEngineParity(t, xprog, want, fmt.Sprintf("N=%d %s", n, sc.name),
+					RunOptions{Threads: n, Sched: sc.pol, Recover: &RecoverySpec{},
+						FaultPlan: &FaultPlan{RollbackEvery: 2}})
+				if len(res.Regions) != 1 || res.Regions[0].Rollbacks == 0 {
+					t.Errorf("N=%d %s: no forced rollback recorded: %+v", n, sc.name, res.Regions)
+				}
+			}
+		}
+	})
+}
+
+// expandForParity compiles src, records its native sequential result
+// and returns its compiled expansion.
+func expandForParity(t *testing.T, name, src string) (*Program, Result) {
+	t.Helper()
+	prog, err := Compile(name+".c", src)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	want, err := prog.Run(RunOptions{ForceSequential: true})
+	if err != nil {
+		t.Fatalf("native run: %v", err)
+	}
+	tr, err := Transform(prog, TransformOptions{})
+	if err != nil {
+		t.Fatalf("transform: %v", err)
+	}
+	xprog, err := Compile(name+"-x.c", tr.Source)
+	if err != nil {
+		t.Fatalf("compile expansion: %v", err)
+	}
+	return xprog, want
+}
+
+// checkEngineParity runs xprog with opts under each engine, requires
+// the native output from every one and the tree-walker's CatWork from
+// the compiled ones, and returns the optimized engine's result.
+func checkEngineParity(t *testing.T, xprog *Program, want Result, label string, opts RunOptions) Result {
+	t.Helper()
+	results := map[string]Result{}
+	for ename, eng := range parityEngines {
+		o := opts
+		o.Engine = eng
+		res, err := xprog.Run(o)
+		if err != nil {
+			t.Fatalf("%s %s: %v", label, ename, err)
+		}
+		if res.Output != want.Output {
+			t.Errorf("%s %s: output %q, want %q", label, ename, res.Output, want.Output)
+		}
+		results[ename] = res
+	}
+	ref := results["tree"].Counters[interp.CatWork]
+	for _, ename := range []string{"noopt", "opt"} {
+		if got := results[ename].Counters[interp.CatWork]; got != ref {
+			t.Errorf("%s %s: work counter %d != tree %d", label, ename, got, ref)
+		}
+	}
+	return results["opt"]
+}
