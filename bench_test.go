@@ -226,8 +226,8 @@ func BenchmarkAblationBaseHoisting(b *testing.B) {
 //
 // compares tree-walking dispatch against the closure-compiling engine
 // on this host. Programs run single-threaded so the measurement is
-// pure dispatch cost; `gdsxbench -bench-engines` produces the same
-// comparison at full bench scale with the geomean speedup.
+// pure dispatch cost. The tree walker is a test oracle, so this is the
+// one place that times the two engines against each other.
 func BenchmarkEngineComparison(b *testing.B) {
 	for _, w := range workloads.All() {
 		prog, err := gdsx.Compile(w.Name+".c", w.Source(workloads.Test))

@@ -6,8 +6,7 @@
 //
 // Usage:
 //
-//	gdsxbench [-scale test|profile|bench] [-engine compiled|tree] [-exp all|table4|table5|fig8|...|fig14]
-//	gdsxbench -bench-engines [-scale ...] [-o BENCH_engine.json]
+//	gdsxbench [-scale test|profile|bench] [-exp all|table4|table5|fig8|...|fig14]
 //	gdsxbench -bench-opt [-quick] [-scale ...] [-o BENCH_opt.json]
 //	gdsxbench -guard [-quick] [-scale ...] [-o BENCH_guard.json]
 //	gdsxbench -recovery [-scale ...] [-o BENCH_recovery.json]
@@ -17,10 +16,10 @@
 //	gdsxbench -serve-load [-quick] [-o BENCH_serve.json]
 //
 // A mode flag selects one measurement instead (see modes). The
-// wall-clock modes time host runs: the two engines, the optimization
-// pipeline on vs off, the guard monitor, region recovery vs whole-
-// program fallback, the observability tiers, the adaptive speculation
-// ladder, and the gdsxd service under closed-loop load. -sched replays
+// wall-clock modes time host runs of the compiled engine: the
+// optimization pipeline on vs off, the guard monitor, region recovery
+// vs whole-program fallback, the observability tiers, the adaptive
+// speculation ladder, and the gdsxd service under closed-loop load. -sched replays
 // traced workloads through the schedule simulator under both DOALL
 // dispatch policies, so its JSON is the same on any host. A mode
 // writes its report to its BENCH file (or -o). With -quick, a gated
@@ -69,10 +68,7 @@ type mode struct {
 	// guarded modes run the access monitor, which logs every access:
 	// bench-scale inputs need gigabytes of log memory.
 	guarded bool
-	// benchScale modes time per-run work that small inputs drown in
-	// setup.
-	benchScale bool
-	run        func(h *bench.Harness, quick bool) (report, error)
+	run     func(h *bench.Harness, quick bool) (report, error)
 }
 
 // modes in precedence order: the first whose flag is set runs.
@@ -88,9 +84,6 @@ var modes = []mode{
 	{flag: "bench-opt", out: "BENCH_opt.json", what: "optimization comparison",
 		usage: "measure the compiled engine's optimization pipeline (on vs off) and write JSON",
 		run:   func(h *bench.Harness, quick bool) (report, error) { return h.OptComparison(quick) }},
-	{flag: "bench-engines", out: "BENCH_engine.json", what: "engine comparison", benchScale: true,
-		usage: "measure tree vs compiled engine wall clock and write JSON",
-		run:   func(h *bench.Harness, _ bool) (report, error) { return h.EngineComparison() }},
 	{flag: "guard", out: "BENCH_guard.json", what: "guard overhead", guarded: true,
 		usage: "measure guarded-execution monitor overhead on violation-free runs and write JSON",
 		run:   func(h *bench.Harness, quick bool) (report, error) { return h.GuardOverhead(quick) }},
@@ -110,7 +103,6 @@ var modes = []mode{
 func main() {
 	scale := flag.String("scale", "bench", "input scale: test, profile or bench")
 	exp := flag.String("exp", "all", "experiment: all, table4, table5, fig8..fig14")
-	engineName := flag.String("engine", "compiled", "execution engine: compiled or tree")
 	selected := make([]*bool, len(modes))
 	for i, m := range modes {
 		selected[i] = flag.Bool(m.flag, false, m.usage)
@@ -145,12 +137,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gdsxbench: unknown scale", *scale)
 		os.Exit(2)
 	}
-	engine, ok := gdsx.EngineFromString(*engineName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "gdsxbench: unknown engine %q (want compiled or tree)\n", *engineName)
-		os.Exit(2)
-	}
-	cfg.Engine = engine
 	if *httpAddr != "" {
 		// A metrics-only observer: every harness run publishes into one
 		// registry, served live at /debug/vars; an event tracer here
@@ -181,8 +167,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gdsxbench: serving expvar and pprof on %s"+
 			" (/debug/vars, /debug/pprof)\n", ln.Addr())
 	}
-	fmt.Fprintf(os.Stderr, "gdsxbench: engine=%s scale=%s %s %s/%s\n",
-		engine, *scale, runtime.Version(), runtime.GOOS, runtime.GOARCH)
+	fmt.Fprintf(os.Stderr, "gdsxbench: scale=%s %s %s/%s\n",
+		*scale, runtime.Version(), runtime.GOOS, runtime.GOARCH)
 	h := bench.New(cfg)
 	start := time.Now()
 
@@ -265,11 +251,6 @@ func runMode(m mode, h *bench.Harness, scale workloads.Scale, quick bool, out st
 		fmt.Fprintf(os.Stderr, "gdsxbench: note: -%s runs are guarded, so the monitor logs"+
 			" every access; bench-scale inputs need gigabytes of log memory."+
 			" -scale profile is the intended operating point.\n", m.flag)
-	}
-	if m.benchScale && scale != workloads.BenchScale {
-		fmt.Fprintln(os.Stderr, "gdsxbench: note: at this scale per-run setup"+
-			" (simulated-memory allocation) rivals the programs' execution time;"+
-			" use -scale bench for a meaningful engine comparison")
 	}
 	rep, err := m.run(h, quick)
 	if err != nil {

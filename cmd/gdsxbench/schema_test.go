@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -14,20 +15,38 @@ import (
 // TestBenchSchemaRoundTrip decodes every checked-in BENCH file into its
 // report type, rejecting unknown fields, and checks that re-encoding
 // keeps every key the file has: a renamed or dropped field would orphan
-// the checked-in baselines the gates read.
+// the checked-in baselines the gates read. Every BENCH_*.json at the
+// repository root must have a report type and a mode that writes it,
+// and every listed type a file, so a removed mode cannot leave an
+// orphaned or unchecked baseline behind.
 func TestBenchSchemaRoundTrip(t *testing.T) {
-	for file, rep := range map[string]any{
+	reports := map[string]any{
 		"BENCH_adapt.json":    &bench.AdaptReport{},
-		"BENCH_engine.json":   &bench.EngineReport{},
 		"BENCH_guard.json":    &bench.GuardReport{},
 		"BENCH_obs.json":      &bench.ObsReport{},
 		"BENCH_opt.json":      &bench.OptReport{},
 		"BENCH_recovery.json": &bench.RecoveryReport{},
 		"BENCH_sched.json":    &bench.SchedReport{},
 		"BENCH_serve.json":    &bench.ServeLoadReport{},
-	} {
+	}
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, path := range paths {
+		file := filepath.Base(path)
+		rep, ok := reports[file]
+		if !ok {
+			t.Errorf("%s has no report type", file)
+			continue
+		}
+		seen[file] = true
+		if !slices.ContainsFunc(modes, func(m mode) bool { return m.out == file }) {
+			t.Errorf("%s: no mode writes it", file)
+		}
 		t.Run(file, func(t *testing.T) {
-			data, err := os.ReadFile(filepath.Join("..", "..", file))
+			data, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -49,6 +68,11 @@ func TestBenchSchemaRoundTrip(t *testing.T) {
 			}
 			missingKeys(t, "", orig, back)
 		})
+	}
+	for file := range reports {
+		if !seen[file] {
+			t.Errorf("%s has a report type but no checked-in file", file)
+		}
 	}
 }
 

@@ -102,9 +102,9 @@ type RunOptions struct {
 	// EngineCompiled, the closure-compiling engine with its full pass
 	// pipeline (register promotion, superinstruction fusion,
 	// profile-guided specialization); EngineCompiledNoOpt disables the
-	// pipeline, and EngineTree selects the tree-walking reference
-	// implementation. All three produce byte-identical output and
-	// identical instruction counters.
+	// pipeline, and EngineTree selects the tree-walking oracle the
+	// compiled engines are tested against. All three produce
+	// byte-identical output and identical instruction counters.
 	Engine Engine
 	// OptProfile feeds a prior run's hot-site profile to the optimizer,
 	// which specializes the hottest sites' memory accessors to their
@@ -212,7 +212,8 @@ const (
 	// EngineCompiled compiles each function body to a tree of
 	// pre-resolved Go closures once, after checking (the default).
 	EngineCompiled = interp.EngineCompiled
-	// EngineTree walks the AST on every execution (reference engine).
+	// EngineTree walks the AST on every execution: the test oracle,
+	// which the service and benchmark surfaces do not offer.
 	EngineTree = interp.EngineTree
 	// EngineCompiledNoOpt is the compiled engine with the optimization
 	// pipeline disabled.

@@ -27,14 +27,10 @@ type Config struct {
 	Model schedule.Model
 	// MemSize for program runs.
 	MemSize int64
-	// Engine is the execution engine every measured run uses (the zero
-	// value is the closure-compiling engine). The simulated operation
-	// counts are engine-independent; only host wall-clock changes.
-	Engine gdsx.Engine
 	// Obs, when set, attaches an observer to every harness run — the
 	// gdsxbench -http endpoint uses a metrics-only observer here so
 	// expvar serves live counters while experiments execute. The
-	// wall-clock benchmark modes (EngineComparison, ObsOverhead) manage
+	// wall-clock benchmark modes (OptComparison, ObsOverhead) manage
 	// their own observers and ignore this field.
 	Obs *gdsx.Observer
 }
@@ -95,7 +91,6 @@ func New(cfg Config) *Harness {
 
 func (h *Harness) run(opts gdsx.RunOptions) gdsx.RunOptions {
 	opts.MemSize = h.cfg.MemSize
-	opts.Engine = h.cfg.Engine
 	opts.Obs = h.cfg.Obs
 	return opts
 }

@@ -1,6 +1,6 @@
 package bench
 
-// The wall-clock modes (engine, opt, guard, obs, recovery, adapt and
+// The wall-clock modes (opt, guard, obs, recovery, adapt and
 // the serve obs tier) share one measurement loop, one geomean and one
 // report header; only the statistic they take of the samples differs.
 
@@ -45,6 +45,19 @@ func (h *Harness) header(threads, reps int) Header {
 		Reps:      reps,
 		Host:      thisHost(),
 	}
+}
+
+// scaleName names a workload scale for reports.
+func scaleName(s workloads.Scale) string {
+	switch s {
+	case workloads.Test:
+		return "test"
+	case workloads.ProfileScale:
+		return "profile"
+	case workloads.BenchScale:
+		return "bench"
+	}
+	return fmt.Sprintf("scale(%d)", int(s))
 }
 
 // thisHost describes the machine the process runs on.

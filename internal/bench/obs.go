@@ -89,7 +89,7 @@ const (
 // runObs runs the expanded program once under the given observer
 // configuration. A fresh Observer is built per run — reusing one would
 // make later runs pay for earlier runs' trace buffers.
-func runObs(exp *gdsx.Program, cfg obsConfig, memSize int64, eng gdsx.Engine) error {
+func runObs(exp *gdsx.Program, cfg obsConfig, memSize int64) error {
 	var o *gdsx.Observer
 	switch cfg {
 	case obsOn:
@@ -102,7 +102,7 @@ func runObs(exp *gdsx.Program, cfg obsConfig, memSize int64, eng gdsx.Engine) er
 		o.IterSpans = true
 	}
 	_, err := exp.Run(gdsx.RunOptions{
-		Threads: obsThreads, MemSize: memSize, Engine: eng, Obs: o,
+		Threads: obsThreads, MemSize: memSize, Obs: o,
 	})
 	return err
 }
@@ -146,7 +146,7 @@ func (h *Harness) ObsOverhead(quick bool) (*ObsReport, error) {
 		variants := make([]func() error, len(configs))
 		for i, c := range configs {
 			variants[i] = func() error {
-				if err := runObs(exp, c, h.cfg.MemSize, h.cfg.Engine); err != nil {
+				if err := runObs(exp, c, h.cfg.MemSize); err != nil {
 					return fmt.Errorf("%s (config %d): %w", w.Name, c, err)
 				}
 				return nil

@@ -3,9 +3,9 @@ package bench
 // Optimization-pipeline comparison: wall-clock time of the compiled
 // engine with its optimization passes (register promotion,
 // superinstruction fusion, profile-guided site specialization) against
-// the same engine with the pipeline disabled. Like the engine
-// comparison, this measures host time — the passes change dispatch
-// cost only; output and counters stay identical (see the opt-parity
+// the same engine with the pipeline disabled. This measures host time:
+// the passes change dispatch cost only; output and counters stay
+// identical (see the opt-parity
 // tests at the repository root). Each workload is first profiled at
 // the smaller profile scale with the hot-site profiler, and the
 // resulting site weights drive the specializer during the measured
@@ -43,6 +43,20 @@ type OptReport struct {
 // without rerunning the full suite.
 var OptQuickWorkloads = []string{"dijkstra", "256.bzip2", "md5"}
 
+// optReps is how many times each (workload, pipeline) pair runs; the
+// minimum wall-clock of the repetitions is reported.
+const optReps = 3
+
+// runVariant is a measured variant that runs prog once under opts.
+func runVariant(name string, prog *gdsx.Program, opts gdsx.RunOptions) func() error {
+	return func() error {
+		if _, err := prog.Run(opts); err != nil {
+			return fmt.Errorf("%s (%v): %w", name, opts.Engine, err)
+		}
+		return nil
+	}
+}
+
 // hotProfile collects a workload's hot-site weights at profile scale.
 func hotProfile(w *workloads.Workload, memSize int64) (*gdsx.SiteProfile, error) {
 	prog, err := gdsx.Compile(w.Name+".c", w.Source(workloads.ProfileScale))
@@ -60,7 +74,7 @@ func hotProfile(w *workloads.Workload, memSize int64) (*gdsx.SiteProfile, error)
 // unoptimized and optimized compiled engine at the harness scale,
 // single-threaded. quick restricts the sweep to OptQuickWorkloads.
 func (h *Harness) OptComparison(quick bool) (*OptReport, error) {
-	rep := &OptReport{Header: h.header(1, engineReps)}
+	rep := &OptReport{Header: h.header(1, optReps)}
 	for _, w := range workloadSet(quick, OptQuickWorkloads) {
 		prog, err := gdsx.Compile(w.Name+".c", w.Source(h.cfg.Scale))
 		if err != nil {
@@ -73,7 +87,7 @@ func (h *Harness) OptComparison(quick bool) (*OptReport, error) {
 		opts := gdsx.RunOptions{Threads: 1, MemSize: h.cfg.MemSize, Engine: gdsx.EngineCompiledNoOpt}
 		noopt := runVariant(w.Name, prog, opts)
 		opts.Engine, opts.OptProfile = gdsx.EngineCompiled, sites
-		s, err := measure(1, engineReps, noopt, runVariant(w.Name, prog, opts))
+		s, err := measure(1, optReps, noopt, runVariant(w.Name, prog, opts))
 		if err != nil {
 			return nil, err
 		}

@@ -2,6 +2,7 @@ package expand
 
 import (
 	"fmt"
+	"slices"
 
 	"gdsx/internal/alias"
 	"gdsx/internal/ast"
@@ -451,7 +452,8 @@ func (p *pass) checkInterleaved(apply bool) error {
 // placeSync inserts one DOACROSS loop's ordered section: the smallest
 // contiguous range of top-level body statements covering every shared
 // access involved in a residual loop-carried dependence is bracketed
-// with __sync_wait / __sync_post (§4.3).
+// with __sync_wait / __sync_post (§4.3), widened to cover any range the
+// source's own top-level markers already bracket.
 func (p *pass) placeSync(lc loopCtx) (bool, error) {
 	g, cls := lc.an.Graph, lc.an.Class
 	residual := map[int]bool{}
@@ -481,13 +483,28 @@ func (p *pass) placeSync(lc loopCtx) (bool, error) {
 		body = &ast.Block{Stmts: []ast.Stmt{lc.stmt.Body}}
 		lc.stmt.Body = body
 	}
-	if p.opts.ConservativeSync {
-		body.Stmts = append([]ast.Stmt{&ast.SyncWait{}}, append(body.Stmts, &ast.SyncPost{})...)
-		return true, nil
+	stmts, ulo, uhi := stripSync(body.Stmts)
+	lo, hi := 0, len(stmts)-1
+	if !p.opts.ConservativeSync {
+		lo, hi = residualRange(stmts, residual)
 	}
-	lo, hi := -1, -1
+	// An ordered section the source already brackets stays ordered:
+	// merge it into the computed one, so the body keeps one pair.
+	if ulo <= uhi {
+		lo, hi = min(lo, ulo), max(hi, uhi)
+	}
+	body.Stmts = slices.Concat(stmts[:lo], []ast.Stmt{&ast.SyncWait{}},
+		stmts[lo:hi+1], []ast.Stmt{&ast.SyncPost{}}, stmts[hi+1:])
+	return true, nil
+}
+
+// residualRange returns the smallest contiguous range of stmts that
+// covers every residual access site, or all of stmts when some residual
+// access lies outside them (inside a callee).
+func residualRange(stmts []ast.Stmt, residual map[int]bool) (lo, hi int) {
+	lo, hi = -1, -1
 	covered := map[int]bool{}
-	for i, s := range body.Stmts {
+	for i, s := range stmts {
 		found := false
 		ast.Inspect(s, func(n ast.Node) bool {
 			if e, ok := n.(ast.Expr); ok {
@@ -509,23 +526,45 @@ func (p *pass) placeSync(lc loopCtx) (bool, error) {
 	}
 	for site := range residual {
 		if !covered[site] {
-			// A residual access outside the lexical body (inside a
-			// callee): order the entire body conservatively.
-			lo, hi = 0, len(body.Stmts)-1
-			break
+			return 0, len(stmts) - 1
 		}
 	}
 	if lo < 0 {
-		lo, hi = 0, len(body.Stmts)-1
+		return 0, len(stmts) - 1
 	}
-	var out []ast.Stmt
-	out = append(out, body.Stmts[:lo]...)
-	out = append(out, &ast.SyncWait{})
-	out = append(out, body.Stmts[lo:hi+1]...)
-	out = append(out, &ast.SyncPost{})
-	out = append(out, body.Stmts[hi+1:]...)
-	body.Stmts = out
-	return true, nil
+	return lo, hi
+}
+
+// stripSync removes the top-level ordered-section markers from stmts.
+// It returns the other statements and the range of them the markers
+// bracketed: from the first __sync_wait (or the start) to the last
+// __sync_post (or the end). lo > hi when there were no markers or they
+// bracketed nothing.
+func stripSync(stmts []ast.Stmt) (rest []ast.Stmt, lo, hi int) {
+	wait, post := -1, -1
+	for _, s := range stmts {
+		switch s.(type) {
+		case *ast.SyncWait:
+			if wait < 0 {
+				wait = len(rest)
+			}
+		case *ast.SyncPost:
+			post = len(rest)
+		default:
+			rest = append(rest, s)
+		}
+	}
+	if wait < 0 && post < 0 {
+		return rest, 0, -1
+	}
+	lo, hi = 0, len(rest)-1
+	if wait >= 0 {
+		lo = wait
+	}
+	if post >= 0 {
+		hi = post - 1
+	}
+	return rest, lo, hi
 }
 
 // accessIDsOf lists the access-site IDs attached to one expression node.

@@ -18,9 +18,9 @@
 // Redirect/Free/ParallelStart/ParallelEnd) at the same program points
 // with the same access-site IDs, maintains the same work/sync/wait
 // counters and cache-model traffic, and raises the same runtime
-// errors at the same positions. Global initialization, a cold path,
-// intentionally reuses the tree-walker so the two engines cannot drift
-// there.
+// errors at the same positions. Global initializers compile here too,
+// so a compiled-engine run never enters the tree-walker, which stays
+// as the reference the parity suites and fuzz targets compare against.
 package interp
 
 import (
@@ -63,9 +63,12 @@ type promotedParam struct {
 }
 
 // compiledProg holds the compiled bodies of every function in a
-// program, keyed by declaration (declarations are shared pointers).
+// program, keyed by declaration (declarations are shared pointers),
+// and the global initializers, indexed like sema.Info.Globals (nil
+// where a global has none).
 type compiledProg struct {
 	funcs map[*ast.FuncDecl]*compiledFunc
+	inits []cexpr
 }
 
 // compiler compiles one program for one machine. Options are fixed at
@@ -88,9 +91,9 @@ type compiler struct {
 	promoted []bool
 }
 
-// compileProgram compiles every function of m's program. Functions
-// may be mutually recursive, so the compiledFunc shells are created
-// first and the bodies filled in a second pass.
+// compileProgram compiles every function and global initializer of
+// m's program. Functions may be mutually recursive, so the compiledFunc
+// shells are created first and the bodies filled in a second pass.
 func compileProgram(m *Machine) *compiledProg {
 	c := &compiler{
 		m:     m,
@@ -101,6 +104,14 @@ func compileProgram(m *Machine) *compiledProg {
 		opt:   newOptConfig(m),
 	}
 	c.cancellable = m.opts.Ctx != nil && m.opts.Ctx.Done() != nil
+	// Sema admits only constant initializers, so constEval folds all
+	// but the ones that must fault at run time (int g = 1/0;).
+	c.prog.inits = make([]cexpr, len(m.info.Globals))
+	for i, g := range m.info.Globals {
+		if g.Init != nil {
+			c.prog.inits[i] = c.compileExpr(g.Init)
+		}
+	}
 	fns := m.prog.Funcs()
 	for _, fn := range fns {
 		c.prog.funcs[fn] = &compiledFunc{fn: fn}

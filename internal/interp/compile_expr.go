@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"fmt"
 	"math"
 
 	"gdsx/internal/ast"
@@ -8,20 +9,23 @@ import (
 	"gdsx/internal/token"
 )
 
-// fallbackExpr delegates a rarely-executed or error-raising expression
-// to the tree-walker, which ticks and faults exactly as specified.
-func (c *compiler) fallbackExpr(e ast.Expr) cexpr {
-	return treeExpr(e)
-}
-
-// fallbackAddr delegates an address computation to the tree-walker.
-func (c *compiler) fallbackAddr(e ast.Expr) caddr {
-	return func(t *thread, f *frame) int64 { return t.addr(f, e) }
+// fault compiles a node the tree-walker rejects when it reaches it
+// into a closure raising the same RuntimeError at pos. A faulting run
+// returns no counters, so the closure skips the ticks the tree-walker
+// records on the way. Sema accepts one such node (a function name used
+// as a value); the others need a malformed tree.
+func fault(pos token.Pos, format string, args ...any) cexpr {
+	msg := fmt.Sprintf(format, args...)
+	return func(*thread, *frame) value {
+		rterrf(pos, "%s", msg)
+		return value{}
+	}
 }
 
 // compileExpr compiles e to a closure that mirrors eval(e): it ticks
 // the work counter once for every node the tree-walker would visit and
-// performs the same memory accesses in the same order.
+// performs the same memory accesses in the same order. Sema gives every
+// expression a type, so the compiler never checks for a nil one.
 func (c *compiler) compileExpr(e ast.Expr) cexpr {
 	if v, n, ok := c.constEval(e); ok {
 		return func(t *thread, f *frame) value {
@@ -80,7 +84,7 @@ func (c *compiler) compileExpr(e ast.Expr) cexpr {
 			return iv(ty.Size())
 		}
 	}
-	return c.fallbackExpr(e)
+	return fault(e.Pos(), "cannot evaluate expression")
 }
 
 func (c *compiler) compileIdent(x *ast.Ident) cexpr {
@@ -98,7 +102,7 @@ func (c *compiler) compileIdent(x *ast.Ident) cexpr {
 			return iv(nt)
 		}
 	case ast.SymFunc, ast.SymBuiltin:
-		return c.fallbackExpr(x) // "function %s used as a value"
+		return fault(x.Pos(), "function %s used as a value", x.Name)
 	}
 	if c.isPromoted(sym) {
 		return c.promotedLoad(sym, x.Pos())
@@ -121,9 +125,6 @@ func (c *compiler) compileIdent(x *ast.Ident) cexpr {
 // sited load, or the bare address for array/struct-typed results.
 func (c *compiler) compileLoadable(e ast.Expr, site int) cexpr {
 	ty := e.ExprType()
-	if ty == nil {
-		return c.fallbackExpr(e)
-	}
 	ad := c.compileAddr(e)
 	if k := ty.Kind; k == ctypes.Array || k == ctypes.Struct {
 		return func(t *thread, f *frame) value {
@@ -143,11 +144,7 @@ func (c *compiler) compileLoadable(e ast.Expr, site int) cexpr {
 func (c *compiler) compileAddr(e ast.Expr) caddr {
 	switch x := e.(type) {
 	case *ast.Ident:
-		switch x.Sym.Kind {
-		case ast.SymTID, ast.SymNTH:
-			return c.fallbackAddr(e) // "%s has no address"
-		}
-		return c.symAddrC(x.Sym, x.Pos())
+		return c.symAddrC(x.Sym, x.Pos()) // __tid and __nthreads have no address
 
 	case *ast.Index:
 		elem := x.ExprType()
@@ -206,7 +203,8 @@ func (c *compiler) compileAddr(e ast.Expr) caddr {
 			}
 		}
 	}
-	return c.fallbackAddr(e) // "expression has no address"
+	fe := fault(e.Pos(), "expression has no address")
+	return func(t *thread, f *frame) int64 { return fe(t, f).I }
 }
 
 // compileBase compiles evalBase(e): arrays yield their address (no
@@ -229,9 +227,6 @@ func (c *compiler) compileUnary(x *ast.Unary) cexpr {
 			return iv(ad(t, f))
 		}
 	case token.MUL:
-		if rt == nil {
-			return c.fallbackExpr(x)
-		}
 		ad := c.compileAddr(x) // includes the null check
 		if k := rt.Kind; k == ctypes.Array || k == ctypes.Struct {
 			return func(t *thread, f *frame) value {
@@ -283,7 +278,7 @@ func (c *compiler) compileUnary(x *ast.Unary) cexpr {
 			return iv(1)
 		}
 	}
-	return c.fallbackExpr(x) // "bad unary operator"
+	return fault(x.Pos(), "bad unary operator %s", x.Op)
 }
 
 func (c *compiler) compileLogical(x *ast.Logical) cexpr {
@@ -333,9 +328,6 @@ func (c *compiler) compileCond(x *ast.Cond) cexpr {
 
 func (c *compiler) compileBinary(x *ast.Binary) cexpr {
 	xt, yt := x.X.ExprType(), x.Y.ExprType()
-	if xt == nil || yt == nil {
-		return c.fallbackExpr(x)
-	}
 	xIsPtr := xt.Kind == ctypes.Ptr || xt.Kind == ctypes.Array
 	yIsPtr := yt.Kind == ctypes.Ptr || yt.Kind == ctypes.Array
 
@@ -401,14 +393,10 @@ func (c *compiler) compileBinary(x *ast.Binary) cexpr {
 			cmp := cmpFloatOpC(x.Op)
 			return mk(func(a, b value) value { return cmp(a.F, b.F) })
 		}
-		return c.fallbackExpr(x) // "bad float operation"
+		return fault(x.Pos(), "bad float operation %s", x.Op)
 	}
 
-	rt := x.ExprType()
-	if rt == nil {
-		return c.fallbackExpr(x)
-	}
-	tr := truncC(rt)
+	tr := truncC(x.ExprType())
 	pos := x.Pos()
 	switch x.Op {
 	case token.ADD:
@@ -467,7 +455,7 @@ func (c *compiler) compileBinary(x *ast.Binary) cexpr {
 		cmp := cmpIntOpC(x.Op, common.Unsigned)
 		return mk(func(a, b value) value { return cmp(a.I, b.I) })
 	}
-	return c.fallbackExpr(x) // "bad integer operation"
+	return fault(pos, "bad integer operation %s", x.Op)
 }
 
 // compilePtrBinary compiles pointer arithmetic and pointer comparison,
@@ -544,7 +532,7 @@ func (c *compiler) compilePtrBinary(x *ast.Binary, xt, yt *ctypes.Type, xIsPtr, 
 			return cmp(a, b)
 		}
 	}
-	return c.fallbackExpr(x) // "bad pointer operation"
+	return fault(pos, "bad pointer operation %s", x.Op)
 }
 
 func cmpIntOpC(op token.Kind, unsigned bool) func(a, b int64) value {
@@ -611,9 +599,6 @@ func cmpFloatOpC(op token.Kind) func(a, b float64) value {
 
 func (c *compiler) compileAssign(x *ast.Assign) cexpr {
 	lt := x.LHS.ExprType()
-	if lt == nil {
-		return c.fallbackExpr(x)
-	}
 
 	// Whole-struct assignment is a hooked memcpy.
 	if lt.Kind == ctypes.Struct && x.Op == token.ASSIGN {
@@ -847,9 +832,6 @@ func (c *compiler) incDecStep(x *ast.IncDec, ty *ctypes.Type) func(old value) va
 
 func (c *compiler) compileIncDec(x *ast.IncDec) cexpr {
 	ty := x.ExprType()
-	if ty == nil {
-		return c.fallbackExpr(x)
-	}
 	if id, ok := x.X.(*ast.Ident); ok && c.isPromoted(id.Sym) {
 		return c.compilePromotedIncDec(x, id)
 	}
@@ -882,9 +864,6 @@ func (c *compiler) compileCall(x *ast.Call) cexpr {
 
 	if sym.Kind == ast.SymFunc {
 		cf := c.prog.funcs[sym.Fn]
-		if cf == nil {
-			return c.fallbackExpr(x)
-		}
 		n := len(x.Args)
 		if n == 0 {
 			return func(t *thread, f *frame) value {
@@ -906,9 +885,6 @@ func (c *compiler) compileCall(x *ast.Call) cexpr {
 			}
 			return t.callCompiled(cf, args, pos)
 		}
-	}
-	if sym.Kind != ast.SymBuiltin {
-		return c.fallbackExpr(x)
 	}
 	return c.compileBuiltin(x)
 }
@@ -1116,5 +1092,5 @@ func (c *compiler) compileBuiltin(x *ast.Call) cexpr {
 			return iv(v)
 		}
 	}
-	return c.fallbackExpr(x) // "unknown builtin"
+	return fault(pos, "unknown builtin %s", sym.Name)
 }

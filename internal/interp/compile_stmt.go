@@ -41,12 +41,6 @@ func (c *compiler) tickStmt(pos token.Pos, body cstmt) cstmt {
 	}
 }
 
-// fallbackStmt delegates a statement to the tree-walker (which ticks
-// and checks the budget itself).
-func (c *compiler) fallbackStmt(s ast.Stmt) cstmt {
-	return func(t *thread, f *frame) ctrl { return t.exec(f, s) }
-}
-
 // compileStmt compiles s to a closure mirroring exec(f, s).
 func (c *compiler) compileStmt(s ast.Stmt) cstmt {
 	pos := s.Pos()
@@ -141,7 +135,11 @@ func (c *compiler) compileStmt(s ast.Stmt) cstmt {
 			return ctrlNext
 		})
 	}
-	return c.fallbackStmt(s) // "cannot execute statement"
+	fe := fault(pos, "cannot execute statement")
+	return c.tickStmt(pos, func(t *thread, f *frame) ctrl {
+		fe(t, f)
+		return ctrlNext
+	})
 }
 
 // compileBlock compiles a block body with execBlock's stack discipline

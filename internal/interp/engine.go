@@ -4,7 +4,9 @@ package interp
 //
 // The tree-walking engine (the original implementation in eval.go and
 // exec.go) re-dispatches on AST node kind and re-resolves names on
-// every evaluation. The closure-compiling engine walks each function
+// every evaluation; it is kept as the reference oracle the compiled
+// engine is tested against, and the service and benchmark surfaces do
+// not offer it. The closure-compiling engine walks each function
 // body once, after sema, and produces a tree of pre-resolved Go
 // closures: variables become fixed frame-slot or global-table indices,
 // types, sizes and conversion paths are chosen at compile time,
@@ -25,7 +27,7 @@ const (
 	// EngineCompiled executes pre-compiled closure trees with the
 	// optimization pipeline applied (default).
 	EngineCompiled Engine = iota
-	// EngineTree walks the AST directly (the reference implementation).
+	// EngineTree walks the AST directly (the test oracle).
 	EngineTree
 	// EngineCompiledNoOpt is the compiled engine with the optimization
 	// pipeline disabled (register promotion, superinstruction fusion,

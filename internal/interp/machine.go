@@ -173,8 +173,7 @@ type Options struct {
 	// Engine selects the execution engine. The zero value is the
 	// closure-compiling engine with its optimization pipeline (see
 	// opt.go); EngineCompiledNoOpt compiles without the pipeline and
-	// EngineTree is the tree-walking reference implementation (see
-	// engine.go).
+	// EngineTree is the tree-walking oracle (see engine.go).
 	Engine Engine
 	// OptProfile, when set, drives profile-guided site specialization:
 	// the hottest sites it names get flattened load/store accessors.
@@ -298,8 +297,10 @@ type Machine struct {
 	// tier) leave every load and store on the fast path.
 	accessHooks *Hooks
 
-	// code holds the closure-compiled function bodies when the machine
-	// runs a compiled engine; nil under EngineTree.
+	// code holds the closure-compiled function bodies and global
+	// initializers when the machine runs a compiled engine. It is nil
+	// under EngineTree, the only engine the tree-walker (eval, exec,
+	// addr) runs for.
 	code *compiledProg
 }
 
@@ -344,14 +345,6 @@ func New(prog *ast.Program, info *sema.Info, opts Options) *Machine {
 		m.code = compileProgram(m)
 	}
 	return m
-}
-
-// Engine reports which execution engine the machine uses.
-func (m *Machine) Engine() Engine {
-	if m.code != nil {
-		return EngineCompiled
-	}
-	return EngineTree
 }
 
 // Mem exposes the simulated memory (used by hooks and tests).
@@ -569,7 +562,12 @@ func (m *Machine) initGlobals() error {
 		if g.Init == nil {
 			continue
 		}
-		v := t.eval(nil, g.Init)
+		var v value
+		if m.code != nil {
+			v = m.code.inits[i](t, nil)
+		} else {
+			v = t.eval(nil, g.Init)
+		}
 		t.storeTyped(m.globalAddr[i], g.Type, convert(v, g.Init.ExprType(), g.Type))
 	}
 	return nil

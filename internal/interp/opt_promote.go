@@ -12,9 +12,10 @@
 // variable — an unfused consumer, a post-run memory dump — still
 // correct. Only the reverse direction is
 // unsound: a write that bypasses the register (an out-of-object store
-// landing in the slot, or tree-walked code mutating it) would leave
-// the register stale. The promotion criteria below rule those out for
-// well-defined programs. Inside a parallel region only the outer
+// landing in the slot) would leave the register stale. The promotion
+// criteria below rule that out for well-defined programs. Tree-walked
+// code cannot touch a promoted slot: a compiled-engine run never
+// enters the tree-walker (assertTree). Inside a parallel region only the outer
 // scalars a loop body writes fall back to memory (see promotableSlots).
 package interp
 

@@ -106,6 +106,16 @@ func (t *thread) alloca(size int64, pos token.Pos) int64 {
 	return a
 }
 
+// ctrl is the control-flow outcome of executing a statement.
+type ctrl int
+
+const (
+	ctrlNext ctrl = iota
+	ctrlBreak
+	ctrlContinue
+	ctrlReturn
+)
+
 // frame is one function activation. slots maps Symbol.Index of the
 // function's params and locals to their memory addresses.
 type frame struct {

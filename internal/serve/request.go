@@ -58,7 +58,9 @@ type Options struct {
 	// Threads is the simulated thread count (default 4, clamped to the
 	// server's MaxThreads).
 	Threads int `json:"threads,omitempty"`
-	// Engine selects "compiled" (default), "compiled-noopt" or "tree".
+	// Engine selects "compiled" (default) or "compiled-noopt". The
+	// tree-walker is a test oracle, not a service engine: "tree" is a
+	// bad request.
 	Engine string `json:"engine,omitempty"`
 	// Sched selects "stealing" (default), "static" or "dynamic".
 	Sched string `json:"sched,omitempty"`
@@ -187,8 +189,8 @@ func ParseRequest(body []byte, lim Limits) (*Request, *Error) {
 	if o.Threads == 0 {
 		o.Threads = lim.DefaultThreads
 	}
-	if _, ok := gdsx.EngineFromString(o.Engine); !ok {
-		return nil, errf(CodeBadReq, "unknown engine %q", o.Engine)
+	if eng, ok := gdsx.EngineFromString(o.Engine); !ok || eng == gdsx.EngineTree {
+		return nil, errf(CodeBadReq, "unknown engine %q (want compiled or compiled-noopt)", o.Engine)
 	}
 	if _, ok := gdsx.SchedFromString(o.Sched); !ok {
 		return nil, errf(CodeBadReq, "unknown scheduler %q", o.Sched)

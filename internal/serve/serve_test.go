@@ -162,7 +162,7 @@ func TestRunEndpointBasics(t *testing.T) {
 func TestEnginesAndSchedulersAgree(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	var want string
-	for _, engine := range []string{"compiled", "compiled-noopt", "tree"} {
+	for _, engine := range []string{"compiled", "compiled-noopt"} {
 		for _, sched := range []string{"stealing", "static", "dynamic"} {
 			resp, body := postRun(t, ts.URL, Request{
 				Source:  parSrc,
@@ -210,6 +210,7 @@ func TestStructuredErrors(t *testing.T) {
 		{"malformed JSON", `{"source": `, 400, CodeBadReq},
 		{"no source", `{}`, 400, CodeBadReq},
 		{"bad engine", `{"source":"int main(){return 0;}","options":{"engine":"jit"}}`, 400, CodeBadReq},
+		{"tree engine", `{"source":"int main(){return 0;}","options":{"engine":"tree"}}`, 400, CodeBadReq},
 		{"bad threads", `{"source":"int main(){return 0;}","options":{"threads":9999}}`, 400, CodeBadReq},
 		{"parse error", `{"source":"int main( {"}`, 400, CodeCompile},
 		{"sema error", `{"source":"int main() { return x; }"}`, 400, CodeCompile},
@@ -500,7 +501,7 @@ func TestShedSequentialStillCorrect(t *testing.T) {
 	if r.ShedLevel != ShedSequential {
 		t.Fatalf("shed level %d, want %d", r.ShedLevel, ShedSequential)
 	}
-	resp2, body2 := postRun(t, ts.URL, Request{Source: parSrc, Options: Options{Engine: "tree"}})
+	resp2, body2 := postRun(t, ts.URL, Request{Source: parSrc, Options: Options{Engine: "compiled-noopt"}})
 	if r2 := decodeOK(t, resp2, body2); r2.Output != r.Output {
 		t.Fatalf("shed output %q != %q", r.Output, r2.Output)
 	}

@@ -83,8 +83,10 @@ func TestOptEngineParity(t *testing.T) {
 // position and message, from all three engines. The cases hit the
 // paths the optimizer rewrites — promoted scalars around a faulting
 // access, a fused loop condition driving a budget fault, and an
-// allocation failure mid-loop — and the parallel-loop bounds, which
-// each engine evaluates with its own closures.
+// allocation failure mid-loop — the parallel-loop bounds, which each
+// engine evaluates with its own closures, and the faults the compiler
+// emits for nodes the tree-walker rejects at run time: a function name
+// used as a value, and global initializers that divide by zero.
 func TestOptEngineFaultParity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -190,6 +192,29 @@ func TestOptEngineFaultParity(t *testing.T) {
 			}`,
 			opts: RunOptions{Threads: 2},
 			want: "par-bound-div-zero.c:5:32: runtime error: integer division by zero",
+		},
+		{
+			name: "func-as-value",
+			src: `int f() { return 1; }
+			int main() {
+				f;
+				return 0;
+			}`,
+			want: "func-as-value.c:3:5: runtime error: function f used as a value",
+		},
+		{
+			// Sema admits only constant global initializers, but constant
+			// folding must leave these to fault when the run starts.
+			name: "global-div-zero",
+			src: `int g = 1/0;
+			int main() { return g; }`,
+			want: "global-div-zero.c:1:10: runtime error: integer division by zero",
+		},
+		{
+			name: "global-mod-zero",
+			src: `int g = 1%0;
+			int main() { return g; }`,
+			want: "global-mod-zero.c:1:10: runtime error: integer modulo by zero",
 		},
 	}
 	for _, tc := range cases {

@@ -268,6 +268,44 @@ func TestTransformDoacrossOrdered(t *testing.T) {
 	}
 }
 
+// userSyncSrc brackets its own ordered section, which covers the
+// carried update of h and two prints that no dependence orders.
+const userSyncSrc = `
+int main() {
+    long h = 7;
+    int iter;
+    parallel doacross for (iter = 0; iter < 24; iter++) {
+        long v = (long)iter * iter + 3;
+        __sync_wait();
+        print_long(v);
+        print_char(' ');
+        h = h * 31 + v;
+        __sync_post();
+    }
+    print_long(h);
+    return 0;
+}
+`
+
+// TestTransformKeepsUserSyncPair checks that placing the ordered
+// section merges it with the markers the source already has: one
+// __sync_wait/__sync_post pair, still covering the prints (the output
+// matches native at every thread count), with tight and conservative
+// placement alike.
+func TestTransformKeepsUserSyncPair(t *testing.T) {
+	for _, conservative := range []bool{false, true} {
+		opts := expand.Optimized()
+		opts.ConservativeSync = conservative
+		tr := checkTransformed(t, "usersync.c", userSyncSrc, TransformOptions{Expand: &opts})
+		waits := strings.Count(tr.Source, "__sync_wait();")
+		posts := strings.Count(tr.Source, "__sync_post();")
+		if waits != 1 || posts != 1 {
+			t.Fatalf("conservative=%v: %d waits and %d posts, want one pair:\n%s",
+				conservative, waits, posts, tr.Source)
+		}
+	}
+}
+
 // freshSrc allocates per iteration: nothing needs expansion, and the
 // transformed program must still be correct.
 const freshSrc = `
